@@ -43,11 +43,11 @@
 #include <vector>
 
 #include "harness/bench_json.hpp"
-#include "harness/parallel.hpp"
+#include "harness/pool.hpp"
 #include "harness/seeds.hpp"
 #include "harness/table.hpp"
-#include "mutex/abort_experiment.hpp"
 #include "mutex/abortable_tournament.hpp"
+#include "mutex/episodes.hpp"
 #include "mutex/jj_amortized.hpp"
 #include "mutex/pw_randomized.hpp"
 #include "mutex/sim_mutex.hpp"
@@ -124,7 +124,7 @@ class JjjGridAdapter final : public SimMutex {
     recover::RecoverableJJJMutex jjj_;
 };
 
-AbortableMutexBuilder builder_for(Variant v, std::uint32_t m) {
+MutexBuilder builder_for(Variant v, std::uint32_t m) {
     switch (v) {
         case Variant::JjCc:
             return [m](Memory& mem) {
@@ -175,23 +175,31 @@ std::string workload_name(double rate) {
     return rate == 0.0 ? "ab0" : "ab50";
 }
 
-AbortExperimentConfig cell_cfg(const Cell& c) {
-    AbortExperimentConfig cfg;
-    cfg.builder = builder_for(c.v, c.m);
-    cfg.protocol = proto_of(c.v);
-    cfg.m = c.m;
+/// One abort-mix run: m slots, kPassages passages each; `seed` draws the
+/// abort mix (and the schedule, for a seeded scheduler).
+sim::DriverConfig run_cfg(MutexBuilder builder, std::uint32_t m, double rate,
+                          sim::SchedKind sched, std::uint64_t seed) {
+    sim::DriverConfig cfg;
+    cfg.episodes = mutex_episodes(std::move(builder), m, {.abort_rate = rate});
     cfg.passages = kPassages;
     cfg.cs_steps = kCsSteps;
-    cfg.workload.abort_rate = c.rate;
-    cfg.workload.seed = kWorkloadSeed;
-    cfg.sched = AbortSched::RoundRobin;
+    cfg.sched = sched;
+    cfg.seed = seed;
+    cfg.max_steps = 8'000'000;
+    return cfg;
+}
+
+sim::DriverConfig cell_cfg(const Cell& c) {
+    sim::DriverConfig cfg = run_cfg(builder_for(c.v, c.m), c.m, c.rate,
+                                    sim::SchedKind::RoundRobin, kWorkloadSeed);
+    cfg.protocol = proto_of(c.v);
     return cfg;
 }
 
 // ---- JSON ---------------------------------------------------------------
 
 void grid_json_row(json::Value* results, const Cell& c,
-                   const AbortExperimentResult& res) {
+                   const sim::DriverResult& res) {
     if (results == nullptr) {
         return;
     }
@@ -300,10 +308,11 @@ int main(int argc, char** argv) {
             }
         }
     }
-    std::vector<AbortExperimentResult> res(cells.size());
-    parallel_for(cells.size(), jobs, [&](std::size_t i) {
-        res[i] = run_abort_experiment(cell_cfg(cells[i]));
-    });
+    std::vector<sim::DriverConfig> cfgs;
+    for (const Cell& c : cells) {
+        cfgs.push_back(cell_cfg(c));
+    }
+    const auto res = sim::run_drivers(cfgs, jobs);
 
     const auto grid_mean = [&](Variant v, double rate,
                                std::uint32_t m) -> double {
@@ -412,28 +421,21 @@ int main(int argc, char** argv) {
               << " seeded trials; PW coin + workload + adversary all "
                  "per-trial seeded) ===\n";
     Table t2({"adversary", "lock", "mean", "ci95", "worst"});
-    for (const AbortSched sched :
-         {AbortSched::ObliviousRandom, AbortSched::AdaptiveRmr}) {
+    for (const sim::SchedKind sched :
+         {sim::SchedKind::Random, sim::SchedKind::AdaptiveRmr}) {
         const auto make_cfg = [&](bool pw) {
             return [pw, sched, m_hi](std::uint64_t trial_seed) {
-                AbortExperimentConfig cfg;
+                MutexBuilder builder =
+                    builder_for(Variant::TournamentCc, m_hi);
                 if (pw) {
-                    cfg.builder = [m_hi, trial_seed](Memory& mem) {
+                    builder = [m_hi, trial_seed](Memory& mem) {
                         return std::unique_ptr<SimMutex>(
                             std::make_unique<PwRandomizedMutex>(
                                 mem, "pw", m_hi, trial_seed));
                     };
-                } else {
-                    cfg.builder = builder_for(Variant::TournamentCc, m_hi);
                 }
-                cfg.m = m_hi;
-                cfg.passages = kPassages;
-                cfg.cs_steps = kCsSteps;
-                cfg.workload.abort_rate = 0.5;
-                cfg.workload.seed = trial_seed;
-                cfg.sched = sched;
-                cfg.sched_seed = trial_seed;
-                return cfg;
+                return run_cfg(std::move(builder), m_hi, 0.5, sched,
+                               trial_seed);
             };
         };
         const mutex::TrialStats pw =
@@ -449,13 +451,8 @@ int main(int argc, char** argv) {
                   ": mean " + fmt(pw.mean, 2) + " + ci95 " +
                   fmt(pw.ci95, 2) + " not below deterministic-curve mean " +
                   fmt(tr.mean, 2));
-        trial_json_row(results, "e18-pw",
-                       sched == AbortSched::ObliviousRandom ? "oblivious"
-                                                            : "adaptive",
-                       m_hi, pw);
-        trial_json_row(results, "e18-tournament",
-                       sched == AbortSched::ObliviousRandom ? "oblivious"
-                                                            : "adaptive",
+        trial_json_row(results, "e18-pw", to_string(sched), m_hi, pw);
+        trial_json_row(results, "e18-tournament", to_string(sched),
                        m_hi, tr);
     }
     t2.print();

@@ -50,6 +50,7 @@
 #include "harness/bench_json.hpp"
 #include "harness/pool.hpp"
 #include "harness/table.hpp"
+#include "sim/driver.hpp"
 
 namespace {
 
@@ -84,40 +85,47 @@ constexpr double kMixedSeparationFloor = 1.5;
 
 struct SimCell {
     std::string name;
-    DistSimConfig cfg;
+    DistSpec spec;
 };
 
-DistSimConfig make_cfg(std::uint32_t shards, std::uint32_t locks_per_shard,
-                       std::uint32_t sessions, bool homed,
-                       std::uint32_t reader_pct, std::uint32_t ops) {
-    DistSimConfig c;
-    c.table.shards = shards;
-    c.table.locks_per_shard = locks_per_shard;
-    c.table.sessions = sessions;
-    c.table.homed = homed;
-    c.reader_pct = reader_pct;
-    c.ops_per_session = ops;
-    // The writer dwells proportionally to the session count, so waiting
-    // time grows with contention -- exactly what the unhomed ablation
-    // converts into network RMRs (the E15b pattern).
-    c.writer_cs_steps = 2 * sessions;
-    c.reader_cs_steps = 1;
-    c.seed = 1;
+SimCell make_cell(std::string name, std::uint32_t shards,
+                  std::uint32_t locks_per_shard, std::uint32_t sessions,
+                  bool homed, std::uint32_t reader_pct) {
+    SimCell c{std::move(name), {}};
+    c.spec.table.shards = shards;
+    c.spec.table.locks_per_shard = locks_per_shard;
+    c.spec.table.sessions = sessions;
+    c.spec.table.homed = homed;
+    c.spec.reader_pct = reader_pct;
     return c;
 }
 
+sim::DriverConfig run_cfg(const SimCell& c, std::uint32_t ops) {
+    sim::DriverConfig cfg;
+    cfg.episodes = dist_episodes(c.spec);
+    cfg.protocol = Protocol::Dsm;
+    cfg.passages = ops;
+    // The writer dwells proportionally to the session count, so waiting
+    // time grows with contention -- exactly what the unhomed ablation
+    // converts into network RMRs (the E15b pattern).
+    cfg.cs_steps = 2 * c.spec.table.sessions;
+    cfg.sched = sim::SchedKind::RoundRobin;
+    cfg.max_steps = 500'000'000;
+    return cfg;
+}
+
 void sim_json_row(json::Value* results, const SimCell& cell,
-                  const DistSimResult& r) {
+                  const sim::DriverResult& r) {
     if (results == nullptr) {
         return;
     }
     DistRowMetrics m;
-    m.ops = r.total_ops;
-    m.network_rmrs_per_op = r.network_rmrs_per_op;
+    m.ops = r.dist.total_ops();
+    m.network_rmrs_per_op = r.dist.network_rmrs_per_op;
     // threads=1 by convention: sim rows are bit-identical for any --jobs,
     // so the worker count must not fork the bench_diff row keyspace.
-    results->push_back(dist_row(cell.name, "dsm-sim", cell.cfg.table,
-                                cell.cfg.reader_pct, 1, m));
+    results->push_back(dist_row(cell.name, "dsm-sim", cell.spec.table,
+                                cell.spec.reader_pct, 1, m));
 }
 
 }  // namespace
@@ -156,31 +164,31 @@ int main(int argc, char** argv) {
     // Writer-only separation cells: one lock, all sessions collide.
     for (const bool homed : {true, false}) {
         for (const auto s : session_grid) {
-            cells.push_back({homed ? "e17-dist-homed" : "e17-dist-unhomed",
-                             make_cfg(1, 1, s, homed, 0, ops)});
+            cells.push_back(make_cell(
+                homed ? "e17-dist-homed" : "e17-dist-unhomed", 1, 1, s,
+                homed, 0));
         }
     }
     // Reader-heavy cells: same collision pattern, 90% readers.
     for (const bool homed : {true, false}) {
         for (const auto s : session_grid) {
-            cells.push_back({homed ? "e17-dist-homed-r90"
-                                   : "e17-dist-unhomed-r90",
-                             make_cfg(1, 1, s, homed, 90, ops)});
+            cells.push_back(make_cell(homed ? "e17-dist-homed-r90"
+                                            : "e17-dist-unhomed-r90",
+                                      1, 1, s, homed, 90));
         }
     }
     // Shard scaling: spreading the same load over more shards (homed).
     for (const std::uint32_t shards : {1u, 4u}) {
-        cells.push_back({"e17-dist-shards",
-                         make_cfg(shards, 4, session_grid.back(), true, 50,
-                                  ops)});
+        cells.push_back(make_cell("e17-dist-shards", shards, 4,
+                                  session_grid.back(), true, 50));
     }
 
-    std::vector<DistSimConfig> cfgs;
+    std::vector<sim::DriverConfig> cfgs;
     cfgs.reserve(cells.size());
     for (const auto& c : cells) {
-        cfgs.push_back(c.cfg);
+        cfgs.push_back(run_cfg(c, ops));
     }
-    const std::vector<DistSimResult> rs = run_dist_sim_grid(cfgs, jobs);
+    const std::vector<sim::DriverResult> rs = sim::run_drivers(cfgs, jobs);
 
     std::cout << "\n=== E17a: sim backend, network RMRs per op "
                  "(deterministic) ===\n";
@@ -189,14 +197,15 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const auto& c = cells[i];
         const auto& r = rs[i];
-        t.row({c.name, fmt(c.cfg.table.shards), fmt(c.cfg.table.sessions),
-               fmt(c.cfg.reader_pct), fmt(r.total_ops),
-               fmt(r.network_rmrs_per_op, 2), fmt(r.witness_violations)});
+        t.row({c.name, fmt(c.spec.table.shards),
+               fmt(c.spec.table.sessions), fmt(c.spec.reader_pct),
+               fmt(r.dist.total_ops()), fmt(r.dist.network_rmrs_per_op, 2),
+               fmt(r.dist.witness_violations)});
         check(r.finished, c.name + " s=" +
-                              std::to_string(c.cfg.table.sessions) +
+                              std::to_string(c.spec.table.sessions) +
                               ": run did not finish (deadlock?)");
-        check(r.witness_violations == 0,
-              c.name + " s=" + std::to_string(c.cfg.table.sessions) +
+        check(r.dist.witness_violations == 0,
+              c.name + " s=" + std::to_string(c.spec.table.sessions) +
                   ": witness violations");
         sim_json_row(results, c, r);
     }
@@ -206,8 +215,8 @@ int main(int argc, char** argv) {
                                std::uint32_t sessions) -> double {
         for (std::size_t i = 0; i < cells.size(); ++i) {
             if (cells[i].name == name &&
-                cells[i].cfg.table.sessions == sessions) {
-                return rs[i].network_rmrs_per_op;
+                cells[i].spec.table.sessions == sessions) {
+                return rs[i].dist.network_rmrs_per_op;
             }
         }
         return 0;

@@ -27,7 +27,7 @@
 #include <string>
 
 #include "harness/bench_json.hpp"
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
 #include "harness/table.hpp"
 #include "knowledge/awareness.hpp"
 #include "sim/scheduler.hpp"

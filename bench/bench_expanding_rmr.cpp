@@ -9,7 +9,7 @@
 #include <iostream>
 #include <memory>
 
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
 #include "harness/table.hpp"
 #include "knowledge/awareness.hpp"
 #include "sim/scheduler.hpp"

@@ -35,13 +35,14 @@
 #include <vector>
 
 #include "harness/bench_json.hpp"
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
 #include "harness/pool.hpp"
 #include "harness/table.hpp"
-#include "mutex/explore_scenario.hpp"
+#include "mutex/episodes.hpp"
 #include "mutex/sim_mutex.hpp"
-#include "recover/recover_experiment.hpp"
+#include "recover/episodes.hpp"
 #include "sim/broken_locks.hpp"
+#include "sim/driver.hpp"
 #include "sim/explorer.hpp"
 
 namespace {
@@ -92,53 +93,49 @@ sim::ExploreResult timed_explore(const Cell& c, bool reduce, unsigned jobs,
     return res;
 }
 
-ExperimentConfig af_cfg(Protocol proto, std::uint32_t n, std::uint32_t m,
-                        std::uint32_t f) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
+sim::ScenarioFactory af_factory(Protocol proto, std::uint32_t n,
+                                std::uint32_t m, std::uint32_t f) {
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        lock_episodes({.lock = LockKind::Af, .n = n, .m = m, .f = f});
     cfg.protocol = proto;
-    cfg.n = n;
-    cfg.m = m;
-    cfg.f = f;
     cfg.passages = 1;
-    return cfg;
+    return sim::driver_factory(cfg);
 }
 
 sim::ScenarioFactory mutex_factory(const std::string& which, std::uint32_t m,
                                    std::uint64_t passages) {
-    return mutex::mutex_scenario_factory(
-        [which](Memory& mem, std::uint32_t mm)
-            -> std::unique_ptr<mutex::SimMutex> {
+    sim::DriverConfig cfg;
+    cfg.episodes = mutex::mutex_episodes(
+        [which, m](Memory& mem) -> std::unique_ptr<mutex::SimMutex> {
             if (which == "ya") {
                 return std::make_unique<mutex::YaTournamentSimMutex>(
-                    mem, "mx", mm);
+                    mem, "mx", m);
             }
             if (which == "mcs") {
-                return std::make_unique<mutex::McsSimMutex>(mem, "mx", mm);
+                return std::make_unique<mutex::McsSimMutex>(mem, "mx", m);
             }
-            return std::make_unique<mutex::TournamentSimMutex>(mem, "mx",
-                                                               mm);
+            return std::make_unique<mutex::TournamentSimMutex>(mem, "mx", m);
         },
-        m, passages, /*cs_steps=*/1);
+        m);
+    cfg.protocol = Protocol::WriteThrough;
+    cfg.passages = passages;
+    return sim::driver_factory(cfg);
 }
 
 sim::ScenarioFactory jjj_factory(std::uint32_t m) {
-    recover::RecoverExperimentConfig cfg;
-    cfg.lock = recover::RecoverLockKind::JJJMutex;
-    cfg.n = 0;
-    cfg.m = m;
+    sim::DriverConfig cfg;
+    cfg.episodes = recover::recover_episodes(
+        {.lock = recover::RecoverLockKind::JJJMutex, .n = 0, .m = m});
     cfg.passages = 1;
-    cfg.cs_steps = 1;
-    cfg.max_steps = 100'000;
-    return recover::recover_scenario_factory(cfg);
+    return sim::driver_factory(cfg);
 }
 
 std::vector<Cell> build_grid(bool smoke) {
     std::vector<Cell> cells;
     const auto af = [&](std::uint32_t n, std::uint32_t m, std::uint32_t f,
                         Protocol proto, int depth) {
-        cells.push_back({"af", harness::scenario_factory(af_cfg(proto, n, m, f)),
-                         n, m, f, depth});
+        cells.push_back({"af", af_factory(proto, n, m, f), n, m, f, depth});
     };
     const auto mx = [&](const std::string& which, std::uint32_t m,
                         std::uint64_t passages, int depth) {

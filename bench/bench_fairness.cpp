@@ -11,7 +11,6 @@
 #include <iostream>
 #include <memory>
 
-#include "harness/experiment.hpp"
 #include "harness/locks.hpp"
 #include "harness/table.hpp"
 #include "sim/rwlock.hpp"

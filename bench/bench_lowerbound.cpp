@@ -19,7 +19,7 @@
 
 #include "adversary/adversary.hpp"
 #include "core/af_params.hpp"
-#include "harness/parallel.hpp"
+#include "harness/pool.hpp"
 #include "harness/table.hpp"
 
 namespace {

@@ -9,9 +9,10 @@
 #include <iostream>
 #include <vector>
 
-#include "harness/experiment.hpp"
-#include "harness/parallel.hpp"
+#include "harness/locks.hpp"
+#include "harness/pool.hpp"
 #include "harness/table.hpp"
+#include "sim/driver.hpp"
 
 namespace {
 
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
               << jobs << ")\n\n";
 
     const std::vector<std::uint32_t> ns = {16u, 64u, 256u, 1024u};
-    std::vector<ExperimentConfig> cfgs;
+    std::vector<sim::DriverConfig> cfgs;
     std::vector<std::uint32_t> fs;
     for (const std::uint32_t n : ns) {
         std::uint32_t f = 1;
@@ -41,19 +42,17 @@ int main(int argc, char** argv) {
         fs.push_back(f);
         for (const Protocol proto :
              {Protocol::WriteThrough, Protocol::WriteBack}) {
-            ExperimentConfig cfg;
-            cfg.lock = LockKind::Af;
+            sim::DriverConfig cfg;
+            cfg.episodes = lock_episodes(
+                {.lock = LockKind::Af, .n = n, .m = 2, .f = f});
             cfg.protocol = proto;
-            cfg.n = n;
-            cfg.m = 2;
-            cfg.f = f;
             cfg.passages = 2;
-            cfg.sched = SchedKind::RoundRobin;
+            cfg.sched = sim::SchedKind::RoundRobin;
             cfg.check_mutual_exclusion = false;
             cfgs.push_back(cfg);
         }
     }
-    const auto res = run_experiments(cfgs, jobs);
+    const auto res = sim::run_drivers(cfgs, jobs);
 
     Table t({"n", "f", "rd WT", "rd WB", "WT/WB", "wr WT", "wr WB",
              "rdWT/logK", "rdWB/logK"});

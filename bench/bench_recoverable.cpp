@@ -51,23 +51,20 @@
 #include <vector>
 
 #include "harness/bench_json.hpp"
-#include "harness/parallel.hpp"
+#include "harness/pool.hpp"
 #include "harness/table.hpp"
 #include "recover/crash_adversary.hpp"
-#include "recover/recover_experiment.hpp"
+#include "recover/episodes.hpp"
+#include "sim/driver.hpp"
 #include "sim/fault.hpp"
 
 namespace {
 
 using namespace rwr;
 using namespace rwr::harness;
-using recover::RecoverExperimentConfig;
-using recover::RecoverExperimentResult;
+using recover::is_mutex_kind;
 using recover::RecoverLockKind;
-
-bool is_mutex_kind(RecoverLockKind k) {
-    return k == RecoverLockKind::Mutex || k == RecoverLockKind::JJJMutex;
-}
+using recover::RecoverSpec;
 
 struct Cell {
     RecoverLockKind lock;
@@ -91,20 +88,24 @@ sim::FaultPlan crash_plan(std::uint32_t crashes, std::uint32_t num_procs) {
     return plan;
 }
 
-std::uint32_t num_procs_of(const Cell& c) {
-    return is_mutex_kind(c.lock) ? c.m : c.n + c.m;
+/// Every run here is round-robin, so the whole bench is deterministic.
+sim::DriverConfig run_config(const RecoverSpec& spec, std::uint64_t passages,
+                             std::uint64_t cs_steps) {
+    sim::DriverConfig cfg;
+    cfg.episodes = recover::recover_episodes(spec);
+    cfg.passages = passages;
+    cfg.cs_steps = cs_steps;
+    cfg.sched = sim::SchedKind::RoundRobin;
+    return cfg;
 }
 
-RecoverExperimentConfig config_for(const Cell& c) {
-    RecoverExperimentConfig cfg;
-    cfg.lock = c.lock;
-    cfg.n = c.n;
-    cfg.m = c.m;
-    cfg.f = c.f;
-    cfg.passages = 3;
-    cfg.cs_steps = 2;
-    cfg.sched = SchedKind::RoundRobin;
-    cfg.faults = crash_plan(c.crashes, num_procs_of(c));
+RecoverSpec spec_of(const Cell& c) {
+    return {.lock = c.lock, .n = c.n, .m = c.m, .f = c.f};
+}
+
+sim::DriverConfig config_for(const Cell& c) {
+    sim::DriverConfig cfg = run_config(spec_of(c), 3, 2);
+    cfg.faults = crash_plan(c.crashes, recover::num_processes(spec_of(c)));
     return cfg;
 }
 
@@ -120,20 +121,20 @@ struct Placement {
 };
 
 json::Value* json_row(json::Value* results, const std::string& lock,
-                      const RecoverExperimentConfig& cfg,
-                      const RecoverExperimentResult& res,
+                      const RecoverSpec& spec, const sim::DriverConfig& cfg,
+                      const sim::DriverResult& res,
                       const Placement* placement = nullptr) {
     if (results == nullptr) {
         return nullptr;
     }
-    const bool mutex = is_mutex_kind(cfg.lock);
+    const bool mutex = is_mutex_kind(spec.lock);
     auto row = json::Value::object();
     row.set("lock", lock);
     row.set("protocol", to_string(cfg.protocol));
-    row.set("n", mutex ? 0U : cfg.n);
-    row.set("m", cfg.m);
-    row.set("f", cfg.f);
-    row.set("threads", mutex ? cfg.m : cfg.n + cfg.m);
+    row.set("n", mutex ? 0U : spec.n);
+    row.set("m", spec.m);
+    row.set("f", spec.f);
+    row.set("threads", recover::num_processes(spec));
     auto rmr = json::Value::object();
     rmr.set("reader_mean_passage", res.readers.mean_passage_rmrs);
     rmr.set("reader_max_passage", res.readers.max_passage_rmrs);
@@ -151,14 +152,14 @@ json::Value* json_row(json::Value* results, const std::string& lock,
     // Recoverable-tier extras: not interpreted by bench_compare (which only
     // gates the standard metric blocks) but recorded for the E12 tables.
     auto rec = json::Value::object();
-    rec.set("restarts", res.restarts);
-    rec.set("max_recovery_steps", res.max_recovery_steps);
-    rec.set("max_chain_recovery_steps", res.max_chain_recovery_steps);
+    rec.set("restarts", res.rme.restarts);
+    rec.set("max_recovery_steps", res.rme.max_recovery_steps);
+    rec.set("max_chain_recovery_steps", res.rme.max_chain_recovery_steps);
     rec.set("reader_recover_mean", res.readers.mean_in(Section::Recover));
     rec.set("writer_recover_mean", res.writers.mean_in(Section::Recover));
-    rec.set("recovery_episodes", res.recovery.episodes);
-    rec.set("recovery_mean_rmrs", res.recovery.mean_rmrs);
-    rec.set("recovery_max_rmrs", res.recovery.max_rmrs);
+    rec.set("recovery_episodes", res.rme.recovery.episodes);
+    rec.set("recovery_mean_rmrs", res.rme.recovery.mean_rmrs);
+    rec.set("recovery_max_rmrs", res.rme.recovery.max_rmrs);
     if (placement != nullptr) {
         rec.set("victim", static_cast<std::uint64_t>(placement->victim));
         rec.set("section", to_string(placement->section));
@@ -169,14 +170,14 @@ json::Value* json_row(json::Value* results, const std::string& lock,
 }
 
 /// Checks one finished cell; prints and counts any failure.
-bool cell_ok(const std::string& what, const RecoverExperimentResult& res) {
+bool cell_ok(const std::string& what, const sim::DriverResult& res) {
     if (!res.finished) {
         std::cerr << "FAIL " << what << ": run did not finish\n";
         return false;
     }
-    if (res.me_violations != 0 || res.rme_violations != 0) {
+    if (res.me_violations != 0 || res.rme.violations != 0) {
         std::cerr << "FAIL " << what << ": " << res.me_violations << " ME + "
-                  << res.rme_violations
+                  << res.rme.violations
                   << " RME violation(s); first: " << res.first_violation
                   << "\n";
         return false;
@@ -212,15 +213,12 @@ bool run_grid(std::uint32_t max_n, bool smoke, unsigned jobs,
             }
         }
     }
-    std::vector<RecoverExperimentConfig> cfgs;
+    std::vector<sim::DriverConfig> cfgs;
     cfgs.reserve(cells.size());
     for (const Cell& c : cells) {
         cfgs.push_back(config_for(c));
     }
-    std::vector<RecoverExperimentResult> res(cfgs.size());
-    parallel_for(cfgs.size(), jobs, [&](std::size_t i) {
-        res[i] = recover::run_recover_experiment(cfgs[i]);
-    });
+    const auto res = sim::run_drivers(cfgs, jobs);
 
     std::cout << "\n=== E12: recoverable passages under crash-restart "
                  "faults ===\n"
@@ -231,20 +229,20 @@ bool run_grid(std::uint32_t max_n, bool smoke, unsigned jobs,
     bool ok = true;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell& c = cells[i];
-        const RecoverExperimentResult& r = res[i];
+        const sim::DriverResult& r = res[i];
         ok = cell_ok(lock_name(c) + " n=" + std::to_string(c.n) +
                          " m=" + std::to_string(c.m) +
                          " f=" + std::to_string(c.f),
                      r) &&
              ok;
-        json_row(results, lock_name(c), cfgs[i], r);
+        json_row(results, lock_name(c), spec_of(c), cfgs[i], r);
         t.row({lock_name(c), fmt(c.n), fmt(c.m), fmt(c.f), fmt(c.crashes),
-               fmt(r.restarts), fmt(r.max_recovery_steps),
+               fmt(r.rme.restarts), fmt(r.rme.max_recovery_steps),
                fmt(r.readers.mean_passage_rmrs),
                fmt(r.writers.mean_passage_rmrs),
                fmt(r.readers.mean_in(Section::Recover)),
                fmt(r.writers.mean_in(Section::Recover)),
-               fmt(r.total_passages)});
+               fmt(r.amortized.passages)});
     }
     t.print();
     return ok;
@@ -252,35 +250,30 @@ bool run_grid(std::uint32_t max_n, bool smoke, unsigned jobs,
 
 // ---- Phase 2: brute-force worst-case crash placement ----------------------
 
-/// Exhaustively crashes `base` at every (victim, section, step <= max_step)
+/// Exhaustively crashes `spec` at every (victim, section, step <= max_step)
 /// placement and reports the placement maximizing the recovery episode
 /// length (ties: most recovery-section RMRs). Placements past the end of a
 /// victim's section never fire (restarts == 0) and are skipped -- reaching
 /// them proves the step range covered the whole section.
-bool run_worst_case(const std::string& label, RecoverExperimentConfig base,
+bool run_worst_case(const std::string& label, const RecoverSpec& spec,
                     std::uint64_t max_step, unsigned jobs,
                     json::Value* results) {
     static constexpr Section kSections[3] = {Section::Entry, Section::Critical,
                                              Section::Exit};
-    const std::uint32_t procs = base.lock == RecoverLockKind::Mutex
-                                    ? base.m
-                                    : base.n + base.m;
+    const sim::DriverConfig base = run_config(spec, 2, 2);
     std::vector<Placement> placements;
-    std::vector<RecoverExperimentConfig> cfgs;
-    for (ProcId v = 0; v < procs; ++v) {
+    std::vector<sim::DriverConfig> cfgs;
+    for (ProcId v = 0; v < recover::num_processes(spec); ++v) {
         for (const Section s : kSections) {
             for (std::uint64_t step = 1; step <= max_step; ++step) {
                 placements.push_back({v, s, step});
-                RecoverExperimentConfig cfg = base;
+                sim::DriverConfig cfg = base;
                 cfg.faults = sim::FaultPlan{}.crash_restart(v, s, step);
                 cfgs.push_back(cfg);
             }
         }
     }
-    std::vector<RecoverExperimentResult> res(cfgs.size());
-    parallel_for(cfgs.size(), jobs, [&](std::size_t i) {
-        res[i] = recover::run_recover_experiment(cfgs[i]);
-    });
+    const auto res = sim::run_drivers(cfgs, jobs);
 
     bool ok = true;
     std::size_t best = placements.size();
@@ -289,13 +282,14 @@ bool run_worst_case(const std::string& label, RecoverExperimentConfig base,
         ok = cell_ok(label + " worst-case placement #" + std::to_string(i),
                      res[i]) &&
              ok;
-        if (res[i].restarts == 0) {
+        if (res[i].rme.restarts == 0) {
             continue;  // Placement past the end of the section: no fault.
         }
         ++fired;
         if (best == placements.size() ||
-            res[i].max_recovery_steps > res[best].max_recovery_steps ||
-            (res[i].max_recovery_steps == res[best].max_recovery_steps &&
+            res[i].rme.max_recovery_steps > res[best].rme.max_recovery_steps ||
+            (res[i].rme.max_recovery_steps ==
+                 res[best].rme.max_recovery_steps &&
              res[i].writers.mean_in(Section::Recover) >
                  res[best].writers.mean_in(Section::Recover))) {
             best = i;
@@ -309,17 +303,17 @@ bool run_worst_case(const std::string& label, RecoverExperimentConfig base,
         return false;
     }
     const Placement& p = placements[best];
-    const RecoverExperimentResult& r = res[best];
+    const sim::DriverResult& r = res[best];
     Table t({"victim", "section", "step", "max rec steps", "rd rec", "wr rec",
              "wr mean"});
     t.row({fmt(p.victim), to_string(p.section), fmt(p.step),
-           fmt(r.max_recovery_steps),
+           fmt(r.rme.max_recovery_steps),
            fmt(r.readers.mean_in(Section::Recover)),
            fmt(r.writers.mean_in(Section::Recover)),
            fmt(r.writers.mean_passage_rmrs)});
     t.print();
 
-    json_row(results, label + "-worst", cfgs[best], r, &p);
+    json_row(results, label + "-worst", spec, cfgs[best], r, &p);
     return ok;
 }
 
@@ -354,24 +348,15 @@ bool run_e14_grid(bool smoke, unsigned jobs, json::Value* results) {
             cells.push_back({RecoverLockKind::JJJMutex, m, c});
         }
     }
-    std::vector<RecoverExperimentConfig> cfgs;
+    std::vector<sim::DriverConfig> cfgs;
     cfgs.reserve(cells.size());
     for (const E14Cell& c : cells) {
-        RecoverExperimentConfig cfg;
-        cfg.lock = c.lock;
-        cfg.n = 0;
-        cfg.m = c.m;
-        cfg.f = 1;
-        cfg.passages = 3;
-        cfg.cs_steps = 1;
-        cfg.sched = SchedKind::RoundRobin;
+        sim::DriverConfig cfg =
+            run_config({.lock = c.lock, .n = 0, .m = c.m, .f = 1}, 3, 1);
         cfg.faults = crash_plan(c.crashes, c.m);
         cfgs.push_back(cfg);
     }
-    std::vector<RecoverExperimentResult> res(cfgs.size());
-    parallel_for(cfgs.size(), jobs, [&](std::size_t i) {
-        res[i] = recover::run_recover_experiment(cfgs[i]);
-    });
+    const auto res = sim::run_drivers(cfgs, jobs);
 
     std::cout << "\n=== E14: recoverable tournament (rmx) vs JJJ ticket tree "
                  "(rjjj) ===\n"
@@ -382,16 +367,17 @@ bool run_e14_grid(bool smoke, unsigned jobs, json::Value* results) {
     bool ok = true;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const E14Cell& c = cells[i];
-        const RecoverExperimentResult& r = res[i];
+        const sim::DriverResult& r = res[i];
         const std::string name = "e14-" + to_string(c.lock) + "-c" +
                                  std::to_string(c.crashes);
         ok = cell_ok(name + " m=" + std::to_string(c.m), r) && ok;
-        json_row(results, name, cfgs[i], r);
+        json_row(results, name, {.lock = c.lock, .n = 0, .m = c.m, .f = 1},
+                 cfgs[i], r);
         t.row({to_string(c.lock), fmt(c.m), fmt(c.crashes),
                fmt(r.writers.mean_passage_rmrs),
-               fmt(r.writers.max_passage_rmrs), fmt(r.restarts),
-               fmt(r.recovery.episodes), fmt(r.recovery.mean_rmrs),
-               fmt(r.recovery.max_rmrs)});
+               fmt(r.writers.max_passage_rmrs), fmt(r.rme.restarts),
+               fmt(r.rme.recovery.episodes), fmt(r.rme.recovery.mean_rmrs),
+               fmt(r.rme.recovery.max_rmrs)});
     }
     t.print();
 
@@ -429,13 +415,8 @@ bool run_e14_adversary(bool smoke, unsigned jobs, json::Value* results) {
     for (const RecoverLockKind kind :
          {RecoverLockKind::Mutex, RecoverLockKind::JJJMutex}) {
         recover::CrashAdversaryConfig acfg;
-        acfg.base.lock = kind;
-        acfg.base.n = 0;
-        acfg.base.m = smoke ? 2 : 3;
-        acfg.base.f = 1;
-        acfg.base.passages = 2;
-        acfg.base.cs_steps = 1;
-        acfg.base.sched = SchedKind::RoundRobin;
+        acfg.lock = {.lock = kind, .n = 0, .m = smoke ? 2U : 3U, .f = 1};
+        acfg.run = run_config(acfg.lock, 2, 1);
         acfg.max_step = smoke ? 4 : 8;
         acfg.storm_depth = 3;
 
@@ -463,18 +444,16 @@ bool run_e14_adversary(bool smoke, unsigned jobs, json::Value* results) {
             ok = false;
             continue;
         }
-        t.row({to_string(kind), fmt(acfg.base.m), fmt(rep.candidates),
+        t.row({to_string(kind), fmt(acfg.lock.m), fmt(rep.candidates),
                fmt(rep.discarded_unfired), rep.worst.candidate.label,
                fmt(rep.worst.score), fmt(rep.passage_rmrs.mean),
                fmt(rep.passage_rmrs.max), fmt(rep.recovery_rmrs.mean),
                fmt(rep.recovery_rmrs.max), fmt(rep.total_restarts)});
 
         if (results != nullptr) {
-            RecoverExperimentConfig worst_cfg = acfg.base;
-            worst_cfg.faults = rep.worst.candidate.plan;
             // Augment the worst-case row with the search-wide summary.
-            json::Value& row =
-                *json_row(results, label, worst_cfg, rep.worst.result);
+            json::Value& row = *json_row(results, label, acfg.lock, acfg.run,
+                                         rep.worst.result);
             auto adv = json::Value::object();
             adv.set("candidates", rep.candidates);
             adv.set("discarded_unfired", rep.discarded_unfired);
@@ -522,28 +501,16 @@ int main(int argc, char** argv) {
     bool ok = run_grid(max_n, smoke, jobs, results);
 
     const std::uint64_t max_step = smoke ? 3 : 6;
-    {
-        RecoverExperimentConfig base;
-        base.lock = RecoverLockKind::Mutex;
-        base.n = 0;
-        base.m = 2;
-        base.f = 1;
-        base.passages = 2;
-        base.cs_steps = 2;
-        base.sched = SchedKind::RoundRobin;
-        ok = run_worst_case("rmx", base, max_step, jobs, results) && ok;
-    }
-    {
-        RecoverExperimentConfig base;
-        base.lock = RecoverLockKind::RwLock;
-        base.n = 2;
-        base.m = 1;
-        base.f = 1;
-        base.passages = 2;
-        base.cs_steps = 2;
-        base.sched = SchedKind::RoundRobin;
-        ok = run_worst_case("rrw", base, max_step, jobs, results) && ok;
-    }
+    ok = run_worst_case("rmx",
+                        {.lock = RecoverLockKind::Mutex, .n = 0, .m = 2,
+                         .f = 1},
+                        max_step, jobs, results) &&
+         ok;
+    ok = run_worst_case("rrw",
+                        {.lock = RecoverLockKind::RwLock, .n = 2, .m = 1,
+                         .f = 1},
+                        max_step, jobs, results) &&
+         ok;
 
     ok = run_e14_grid(smoke, jobs, results) && ok;
     ok = run_e14_adversary(smoke, jobs, results) && ok;

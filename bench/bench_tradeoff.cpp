@@ -27,9 +27,10 @@
 
 #include "core/af_params.hpp"
 #include "harness/bench_json.hpp"
-#include "harness/experiment.hpp"
-#include "harness/parallel.hpp"
+#include "harness/locks.hpp"
+#include "harness/pool.hpp"
 #include "harness/table.hpp"
+#include "sim/driver.hpp"
 
 namespace {
 
@@ -47,32 +48,32 @@ struct Cell {
     std::uint32_t f;
 };
 
-ExperimentConfig config_for(const Cell& c) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
-    cfg.protocol = c.proto;
-    cfg.n = c.n;
-    cfg.m = 1;
-    cfg.f = c.f;
+/// n readers + 1 writer on A_f, 2 passages each, round-robin.
+sim::DriverConfig config_for(Protocol proto, std::uint32_t n,
+                             std::uint32_t f) {
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        lock_episodes({.lock = LockKind::Af, .n = n, .m = 1, .f = f});
+    cfg.protocol = proto;
     cfg.passages = 2;
-    cfg.sched = SchedKind::RoundRobin;
+    cfg.sched = sim::SchedKind::RoundRobin;
     cfg.check_mutual_exclusion = false;  // Speed; correctness is covered by
                                          // the test suite.
     return cfg;
 }
 
-void json_row(json::Value* results, const Cell& c, const ExperimentConfig& cfg,
-              const ExperimentResult& res) {
+void json_row(json::Value* results, const Cell& c,
+              const sim::DriverResult& res) {
     if (results == nullptr) {
         return;
     }
     auto row = json::Value::object();
     row.set("lock", "af");
     row.set("protocol", to_string(c.proto));
-    row.set("n", cfg.n);
-    row.set("m", cfg.m);
-    row.set("f", cfg.f);
-    row.set("threads", cfg.n + cfg.m);
+    row.set("n", c.n);
+    row.set("m", 1);
+    row.set("f", c.f);
+    row.set("threads", c.n + 1);
     auto rmr = json::Value::object();
     rmr.set("reader_mean_passage", res.readers.mean_passage_rmrs);
     rmr.set("reader_max_passage", res.readers.max_passage_rmrs);
@@ -87,13 +88,13 @@ void json_row(json::Value* results, const Cell& c, const ExperimentConfig& cfg,
                                    (res.wall_ms / 1000.0)
                              : 0.0);
     row.set("sim_perf", std::move(perf));
-    row.set("proc_rmr", bench::proc_rmr_to_json(res.proc_rmrs, cfg.n));
+    row.set("proc_rmr", bench::proc_rmr_to_json(res.proc_rmrs, c.n));
     results->push_back(std::move(row));
 }
 
 void run_sweep(std::uint32_t max_n, unsigned jobs, json::Value* results) {
     std::vector<Cell> cells;
-    std::vector<ExperimentConfig> cfgs;
+    std::vector<sim::DriverConfig> cfgs;
     for (const Protocol proto :
          {Protocol::WriteThrough, Protocol::WriteBack}) {
         for (const std::uint32_t n : {8u, 16u, 32u, 64u, 128u, 256u, 512u,
@@ -105,11 +106,11 @@ void run_sweep(std::uint32_t max_n, unsigned jobs, json::Value* results) {
                  {core::FChoice::One, core::FChoice::Log, core::FChoice::Sqrt,
                   core::FChoice::Linear}) {
                 cells.push_back({proto, n, choice, core::f_of(choice, n)});
-                cfgs.push_back(config_for(cells.back()));
+                cfgs.push_back(config_for(proto, n, cells.back().f));
             }
         }
     }
-    const auto res = run_experiments(cfgs, jobs);
+    const auto res = sim::run_drivers(cfgs, jobs);
 
     for (const Protocol proto :
          {Protocol::WriteThrough, Protocol::WriteBack}) {
@@ -124,13 +125,13 @@ void run_sweep(std::uint32_t max_n, unsigned jobs, json::Value* results) {
                 continue;
             }
             const Cell& c = cells[i];
-            const ExperimentResult& r = res[i];
+            const sim::DriverResult& r = res[i];
             if (!r.finished) {
                 std::cerr << "experiment did not finish: n=" << c.n
                           << " f=" << c.f << "\n";
                 continue;
             }
-            json_row(results, c, cfgs[i], r);
+            json_row(results, c, r);
             const std::uint32_t K = (c.n + c.f - 1) / c.f;
             const double rd_pred = log2_of(K);
             const double wr_pred = static_cast<double>(c.f);
@@ -157,22 +158,14 @@ void run_rounding_ablation(unsigned jobs) {
     // constants are unaffected.
     std::cout << "\n=== E1b: rounding ablation (n not divisible by f) ===\n";
     std::vector<std::pair<std::uint32_t, std::uint32_t>> nf;
-    std::vector<ExperimentConfig> cfgs;
+    std::vector<sim::DriverConfig> cfgs;
     for (const std::uint32_t n : {100u, 321u, 1000u}) {
         for (const std::uint32_t f : {3u, 7u, 13u}) {
             nf.emplace_back(n, f);
-            ExperimentConfig cfg;
-            cfg.lock = LockKind::Af;
-            cfg.n = n;
-            cfg.m = 1;
-            cfg.f = f;
-            cfg.passages = 2;
-            cfg.sched = SchedKind::RoundRobin;
-            cfg.check_mutual_exclusion = false;
-            cfgs.push_back(cfg);
+            cfgs.push_back(config_for(Protocol::WriteBack, n, f));
         }
     }
-    const auto res = run_experiments(cfgs, jobs);
+    const auto res = sim::run_drivers(cfgs, jobs);
     Table t({"n", "f", "K", "groups", "rd mean", "wr mean"});
     for (std::size_t i = 0; i < nf.size(); ++i) {
         const auto [n, f] = nf[i];

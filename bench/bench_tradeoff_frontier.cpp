@@ -19,9 +19,10 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
-#include "harness/experiment.hpp"
-#include "harness/parallel.hpp"
+#include "harness/locks.hpp"
+#include "harness/pool.hpp"
 #include "harness/table.hpp"
+#include "sim/driver.hpp"
 
 namespace {
 
@@ -102,23 +103,24 @@ int main(int argc, char** argv) {
               << "(fair round-robin contended run; every CAS-only lock's "
                  "worst passage must exceed c * log2(max(n,m)))\n";
     std::vector<std::pair<LockKind, std::uint32_t>> e3b_cells;
-    std::vector<ExperimentConfig> cfgs;
+    std::vector<sim::DriverConfig> cfgs;
     for (const LockKind kind :
          {LockKind::Af, LockKind::Centralized, LockKind::ReaderPref}) {
         for (const std::uint32_t n : {16u, 64u, 256u}) {
             e3b_cells.emplace_back(kind, n);
-            ExperimentConfig cfg;
-            cfg.lock = kind;
-            cfg.n = n;
-            cfg.m = 8;
-            cfg.f = static_cast<std::uint32_t>(std::sqrt(n));
+            sim::DriverConfig cfg;
+            cfg.episodes = lock_episodes(
+                {.lock = kind,
+                 .n = n,
+                 .m = 8,
+                 .f = static_cast<std::uint32_t>(std::sqrt(n))});
             cfg.passages = 2;
-            cfg.sched = SchedKind::RoundRobin;
+            cfg.sched = sim::SchedKind::RoundRobin;
             cfg.check_mutual_exclusion = false;
             cfgs.push_back(cfg);
         }
     }
-    const auto res = run_experiments(cfgs, jobs);
+    const auto res = sim::run_drivers(cfgs, jobs);
     Table t({"lock", "n", "m", "rd passage max", "wr passage max",
              "log2(max(n,m))"});
     for (std::size_t j = 0; j < e3b_cells.size(); ++j) {

@@ -16,9 +16,10 @@
 
 #include "adversary/adversary.hpp"
 #include "harness/bench_json.hpp"
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
 #include "harness/table.hpp"
 #include "native/perf.hpp"
+#include "sim/driver.hpp"
 #include "sim/explorer.hpp"
 
 namespace {
@@ -78,22 +79,35 @@ Protocol flag_protocol(const std::map<std::string, std::string>& f) {
     std::exit(2);
 }
 
+/// --lock/--n/--m/--f, with per-subcommand default sizes.
+LockSpec flag_spec(const std::map<std::string, std::string>& f,
+                   std::uint64_t n_default) {
+    LockSpec spec;
+    spec.lock = flag_lock(f);
+    spec.n = static_cast<std::uint32_t>(flag_u64(f, "n", n_default));
+    spec.m = static_cast<std::uint32_t>(flag_u64(f, "m", 1));
+    spec.f = static_cast<std::uint32_t>(flag_u64(f, "f", 1));
+    return spec;
+}
+
+sim::SchedKind flag_sched(const std::map<std::string, std::string>& f) {
+    return f.count("round-robin") ? sim::SchedKind::RoundRobin
+                                  : sim::SchedKind::Random;
+}
+
 int cmd_tradeoff(const std::map<std::string, std::string>& f) {
-    ExperimentConfig cfg;
-    cfg.lock = flag_lock(f);
+    const LockSpec spec = flag_spec(f, 16);
+    sim::DriverConfig cfg;
+    cfg.episodes = lock_episodes(spec);
     cfg.protocol = flag_protocol(f);
-    cfg.n = static_cast<std::uint32_t>(flag_u64(f, "n", 16));
-    cfg.m = static_cast<std::uint32_t>(flag_u64(f, "m", 1));
-    cfg.f = static_cast<std::uint32_t>(flag_u64(f, "f", 1));
     cfg.passages = flag_u64(f, "passages", 3);
     cfg.cs_steps = flag_u64(f, "cs-steps", 1);
     cfg.seed = flag_u64(f, "seed", 1);
-    cfg.sched = f.count("round-robin") ? SchedKind::RoundRobin
-                                       : SchedKind::Random;
-    const auto res = run_experiment(cfg);
+    cfg.sched = flag_sched(f);
+    const auto res = sim::run_driver(cfg);
     std::printf("lock=%s protocol=%s n=%u m=%u f=%u passages=%llu\n",
-                to_string(cfg.lock).c_str(), to_string(cfg.protocol).c_str(),
-                cfg.n, cfg.m, cfg.f,
+                to_string(spec.lock).c_str(), to_string(cfg.protocol).c_str(),
+                spec.n, spec.m, spec.f,
                 static_cast<unsigned long long>(cfg.passages));
     if (!res.finished) {
         std::printf("DID NOT FINISH within %llu steps\n",
@@ -102,7 +116,7 @@ int cmd_tradeoff(const std::map<std::string, std::string>& f) {
     }
     Table t({"role", "entry RMR mean/max", "exit RMR mean/max",
              "passage RMR mean/max", "steps mean"});
-    auto row = [&](const char* role, const RoleStats& s) {
+    auto row = [&](const char* role, const sim::RoleStats& s) {
         t.row({role,
                fmt(s.mean_in(Section::Entry)) + "/" +
                    fmt(s.max_in(Section::Entry)),
@@ -137,20 +151,17 @@ Section flag_section(const std::map<std::string, std::string>& f) {
 }
 
 int cmd_faults(const std::map<std::string, std::string>& f) {
-    ExperimentConfig cfg;
-    cfg.lock = flag_lock(f);
+    const LockSpec spec = flag_spec(f, 2);
+    sim::DriverConfig cfg;
+    cfg.episodes = lock_episodes(spec);
     cfg.protocol = flag_protocol(f);
-    cfg.n = static_cast<std::uint32_t>(flag_u64(f, "n", 2));
-    cfg.m = static_cast<std::uint32_t>(flag_u64(f, "m", 1));
-    cfg.f = static_cast<std::uint32_t>(flag_u64(f, "f", 1));
     cfg.passages = flag_u64(f, "passages", 2);
     cfg.seed = flag_u64(f, "seed", 1);
     cfg.max_steps = flag_u64(f, "max-steps", 100'000);
-    cfg.sched = f.count("round-robin") ? SchedKind::RoundRobin
-                                       : SchedKind::Random;
+    cfg.sched = flag_sched(f);
     const auto victim =
-        static_cast<rwr::ProcId>(flag_u64(f, "crash", cfg.n + cfg.m));
-    if (victim < cfg.n + cfg.m) {
+        static_cast<rwr::ProcId>(flag_u64(f, "crash", spec.n + spec.m));
+    if (victim < spec.n + spec.m) {
         const auto step = flag_u64(f, "step", 1);
         const auto stall = flag_u64(f, "stall-steps", 0);
         if (stall > 0) {
@@ -163,7 +174,7 @@ int cmd_faults(const std::map<std::string, std::string>& f) {
     cfg.wall_deadline_ms = flag_u64(f, "wall-ms", 0);
     cfg.record_schedule = true;
 
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     std::printf(
         "steps=%llu finished=%s surviving-finished=%s crashed=%u "
         "livelock=%s starvation=%s deadline-expired=%s\n",
@@ -178,9 +189,9 @@ int cmd_faults(const std::map<std::string, std::string>& f) {
     if (f.count("replay")) {
         // Re-run the recorded schedule on a fresh system and check that the
         // stuck execution reproduces step for step.
-        ExperimentConfig rcfg = cfg;
+        sim::DriverConfig rcfg = cfg;
         rcfg.replay = res.schedule;
-        const auto second = run_experiment(rcfg);
+        const auto second = sim::run_driver(rcfg);
         const bool same = second.steps == res.steps &&
                           second.schedule == res.schedule &&
                           second.crashed == res.crashed &&
@@ -221,12 +232,9 @@ int cmd_adversary(const std::map<std::string, std::string>& f) {
 }
 
 int cmd_explore(const std::map<std::string, std::string>& f) {
-    ExperimentConfig cfg;
-    cfg.lock = flag_lock(f);
+    sim::DriverConfig cfg;
+    cfg.episodes = lock_episodes(flag_spec(f, 2));
     cfg.protocol = flag_protocol(f);
-    cfg.n = static_cast<std::uint32_t>(flag_u64(f, "n", 2));
-    cfg.m = static_cast<std::uint32_t>(flag_u64(f, "m", 1));
-    cfg.f = static_cast<std::uint32_t>(flag_u64(f, "f", 1));
     cfg.passages = flag_u64(f, "passages", 1);
     const int depth = static_cast<int>(flag_u64(f, "depth", 10));
     sim::ExploreOptions opt;
@@ -236,7 +244,7 @@ int cmd_explore(const std::map<std::string, std::string>& f) {
     // schedule counts; --reduce 1 switches on partial-order reduction.
     opt.reduce = flag_u64(f, "reduce", 0) != 0;
     opt.jobs = static_cast<unsigned>(flag_u64(f, "jobs", 1));
-    const auto res = sim::explore(scenario_factory(cfg), opt);
+    const auto res = sim::explore(sim::driver_factory(cfg), opt);
     std::printf("schedules=%llu violations=%llu incomplete=%llu "
                 "truncated=%llu\n",
                 static_cast<unsigned long long>(res.schedules_explored),

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/af_params.hpp"
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
 #include "native/af_lock.hpp"
 
 namespace {
@@ -42,15 +42,13 @@ int main(int argc, char** argv) {
 
     std::vector<SweepPoint> points;
     for (std::uint32_t f = 1; f <= n; f *= 2) {
-        ExperimentConfig cfg;
-        cfg.lock = LockKind::Af;
-        cfg.n = n;
-        cfg.m = 1;
-        cfg.f = f;
+        sim::DriverConfig cfg;
+        cfg.episodes =
+            lock_episodes({.lock = LockKind::Af, .n = n, .m = 1, .f = f});
         cfg.passages = 2;
-        cfg.sched = SchedKind::RoundRobin;
+        cfg.sched = sim::SchedKind::RoundRobin;
         cfg.check_mutual_exclusion = false;
-        const auto res = run_experiment(cfg);
+        const auto res = sim::run_driver(cfg);
         if (!res.finished) {
             continue;
         }

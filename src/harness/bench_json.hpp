@@ -87,7 +87,7 @@ inline json::Value latency_to_json(const native::TelemetrySnapshot& snap) {
 }
 
 /// Per-process whole-run RMR totals (Memory::proc_rmrs, surfaced as
-/// ExperimentResult::proc_rmrs) -> a "proc_rmr" row object. `num_readers`
+/// sim::DriverResult::proc_rmrs) -> a "proc_rmr" row object. `num_readers`
 /// splits the pid space per the harness convention: pids below it are
 /// readers, the rest writers. Sim-exact, like sim_rmr.
 inline json::Value proc_rmr_to_json(const std::vector<std::uint64_t>& per_proc,

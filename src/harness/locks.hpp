@@ -8,6 +8,7 @@
 
 #include "core/af_params.hpp"
 #include "rmr/memory.hpp"
+#include "sim/driver.hpp"
 #include "sim/rwlock.hpp"
 
 namespace rwr::harness {
@@ -40,5 +41,19 @@ std::unique_ptr<sim::SimRWLock> make_sim_lock(
     LockKind kind, Memory& mem, std::uint32_t n, std::uint32_t m,
     std::uint32_t f = 1, core::WlKind wl = core::WlKind::PetersonTournament,
     std::uint64_t wl_seed = 1);
+
+/// One make_sim_lock lock driven by n readers (pids [0, n)) and m writers
+/// (pids [n, n+m)).
+struct LockSpec {
+    LockKind lock = LockKind::Af;
+    std::uint32_t n = 4;  ///< Readers.
+    std::uint32_t m = 1;  ///< Writers.
+    std::uint32_t f = 1;  ///< A_f parameter.
+    core::WlKind wl = core::WlKind::PetersonTournament;
+    std::uint64_t wl_seed = 1;  ///< Coin seed for WlKind::PwRandomized.
+};
+
+/// The RW tier's episode builder for sim::DriverConfig::episodes.
+[[nodiscard]] sim::EpisodeBuilder lock_episodes(const LockSpec& spec);
 
 }  // namespace rwr::harness

@@ -1,5 +1,5 @@
 // Header-only fixed-size thread pool: the dispatch primitive behind both the
-// bench sweep runner (harness/parallel.hpp) and the explorer's parallel
+// sim driver's sweep runner (sim::run_drivers) and the explorer's parallel
 // frontier (sim/explorer.cpp).
 //
 // It lives below the harness library on purpose: rwr_sim cannot link

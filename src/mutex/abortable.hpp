@@ -19,13 +19,14 @@
 // enter_abortable() returns Acquired or Aborted. An aborted attempt may
 // leave O(1) state behind (e.g. an abandoned queue entry) that a later
 // passage of ANY process consumes in O(1) -- that deferred cleanup is what
-// the amortized accounting in mutex/abort_experiment.hpp attributes back to
+// the amortized accounting in mutex/episodes.hpp attributes back to
 // the abort episode.
 #pragma once
 
 #include <cstdint>
 
 #include "mutex/sim_mutex.hpp"
+#include "sim/episode.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 
@@ -44,7 +45,7 @@ struct AbortControl {
     }
 };
 
-enum class EnterResult : std::uint8_t { Acquired, Aborted };
+using EnterResult = sim::EnterResult;
 
 /// A SimMutex whose entry section can give up. `enter` (the non-abortable
 /// base interface) is the never-abort special case, so every abortable

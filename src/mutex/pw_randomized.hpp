@@ -19,7 +19,7 @@
 // Coin flips come from a private per-slot SplitMix64 stream seeded through
 // sim::stream_seed(seed, slot): runs are deterministic given (seed,
 // schedule), which is what makes the repeated-trial estimation in
-// mutex/abort_experiment.hpp bit-identical for any --jobs split.
+// mutex/episodes.hpp bit-identical for any --jobs split.
 //
 // Abort: an attempt that runs out of patience at tree level L abandons its
 // ticket there (O(1), charged to the abort) and releases the nodes it had

@@ -19,12 +19,6 @@ namespace {
 constexpr Section kPassageSections[] = {Section::Entry, Section::Critical,
                                         Section::Exit};
 
-[[nodiscard]] std::uint32_t num_procs_of(const RecoverExperimentConfig& cfg) {
-    const bool mutex_kind = cfg.lock == RecoverLockKind::Mutex ||
-                            cfg.lock == RecoverLockKind::JJJMutex;
-    return mutex_kind ? cfg.m : cfg.n + cfg.m;
-}
-
 [[nodiscard]] std::string place(ProcId v, Section s, std::uint64_t step) {
     return "v" + std::to_string(v) + " " + std::string(to_string(s)) + " s" +
            std::to_string(step);
@@ -35,7 +29,7 @@ constexpr Section kPassageSections[] = {Section::Entry, Section::Critical,
 std::vector<AdversaryCandidate> enumerate_candidates(
     const CrashAdversaryConfig& cfg) {
     std::vector<AdversaryCandidate> out;
-    const std::uint32_t procs = num_procs_of(cfg.base);
+    const std::uint32_t procs = num_processes(cfg.lock);
     const std::uint32_t victims =
         cfg.max_victims == 0 ? procs : std::min(cfg.max_victims, procs);
 
@@ -121,14 +115,15 @@ AdversaryOutcome evaluate_candidate(const CrashAdversaryConfig& cfg,
     AdversaryOutcome o;
     o.index = index;
     o.candidate = cand;
-    RecoverExperimentConfig run_cfg = cfg.base;
+    sim::DriverConfig run_cfg = cfg.run;
+    run_cfg.episodes = recover_episodes(cfg.lock);
     run_cfg.faults = cand.plan;  // Exploratory: require_all_fired stays off.
-    o.result = run_recover_experiment(run_cfg);
+    o.result = sim::run_driver(run_cfg);
     o.all_fired = o.result.faults_fired == cand.plan.faults.size();
     const std::uint64_t worst_passage = std::max(
         o.result.readers.max_passage_rmrs, o.result.writers.max_passage_rmrs);
     o.score = static_cast<double>(worst_passage) +
-              static_cast<double>(o.result.recovery.max_rmrs);
+              static_cast<double>(o.result.rme.recovery.max_rmrs);
     return o;
 }
 
@@ -143,7 +138,7 @@ CrashAdversaryReport reduce_outcomes(
         // Violations count no matter how the plan landed: a partially
         // fired plan is just a milder adversary.
         rep.me_violations += o.result.me_violations;
-        rep.rme_violations += o.result.rme_violations;
+        rep.rme_violations += o.result.rme.violations;
         if (rep.first_violation.empty()) {
             rep.first_violation = o.result.first_violation;
         }
@@ -158,8 +153,8 @@ CrashAdversaryReport reduce_outcomes(
             ++rep.discarded_unfired;
             continue;
         }
-        rep.total_restarts += o.result.restarts;
-        for (const harness::RoleStats* rs :
+        rep.total_restarts += o.result.rme.restarts;
+        for (const sim::RoleStats* rs :
              {&o.result.readers, &o.result.writers}) {
             rep.passage_rmrs.count += rs->num_passages;
             worst_passage_sum += rs->mean_passage_rmrs *
@@ -167,11 +162,10 @@ CrashAdversaryReport reduce_outcomes(
             rep.passage_rmrs.max =
                 std::max(rep.passage_rmrs.max, rs->max_passage_rmrs);
         }
-        rep.recovery_rmrs.count += o.result.recovery.episodes;
-        recovery_sum += o.result.recovery.mean_rmrs *
-                        static_cast<double>(o.result.recovery.episodes);
-        rep.recovery_rmrs.max =
-            std::max(rep.recovery_rmrs.max, o.result.recovery.max_rmrs);
+        const sim::RecoverySummary& rec = o.result.rme.recovery;
+        rep.recovery_rmrs.count += rec.episodes;
+        recovery_sum += rec.mean_rmrs * static_cast<double>(rec.episodes);
+        rep.recovery_rmrs.max = std::max(rep.recovery_rmrs.max, rec.max_rmrs);
         // Strict > keeps the LOWEST index on ties: the reduction is a pure
         // fold over enumeration order, so any parallel evaluation reduces
         // to the same worst case.

@@ -21,8 +21,8 @@
 //   RoundRobinVictims two generations of crashes rotated across every
 //                     victim, so repair work overlaps normal passages.
 //
-// Every candidate is evaluated with run_recover_experiment under the
-// base config's (deterministic) scheduler; candidates whose faults did
+// Every candidate is evaluated with sim::run_driver under the base
+// config's (deterministic) scheduler; candidates whose faults did
 // not all fire are discarded rather than probed in advance (a placement
 // past the end of a section is data, not an error). The worst case is
 // the surviving candidate maximising
@@ -42,7 +42,7 @@
 #include <string>
 #include <vector>
 
-#include "recover/recover_experiment.hpp"
+#include "recover/episodes.hpp"
 #include "sim/fault.hpp"
 
 namespace rwr::recover {
@@ -63,11 +63,12 @@ struct AdversaryCandidate {
 };
 
 struct CrashAdversaryConfig {
-    /// Lock / sizes / passages / scheduler under attack. cfg.faults is
-    /// ignored (each candidate installs its own plan); use a
-    /// deterministic scheduler (RoundRobin or a fixed seed) so the search
-    /// is reproducible.
-    RecoverExperimentConfig base;
+    RecoverSpec lock;  ///< Lock and sizes under attack.
+    /// Passages / scheduler of every candidate run. run.episodes and
+    /// run.faults are ignored (each candidate installs its own plan); use
+    /// a deterministic scheduler (RoundRobin or a fixed seed) so the
+    /// search is reproducible.
+    sim::DriverConfig run;
     std::vector<AdversaryFamily> families{
         AdversaryFamily::SinglePlacements, AdversaryFamily::NestedRecover,
         AdversaryFamily::CrashStorm, AdversaryFamily::RoundRobinVictims};
@@ -82,7 +83,7 @@ struct CrashAdversaryConfig {
 struct AdversaryOutcome {
     std::size_t index = 0;  ///< Position in the enumerated candidate list.
     AdversaryCandidate candidate;
-    RecoverExperimentResult result;
+    sim::DriverResult result;
     double score = 0;
     bool all_fired = false;
 };

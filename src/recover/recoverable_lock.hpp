@@ -12,8 +12,8 @@
 // evidence (per-slot stage words, pid-tagged claims) for recover() to
 // decide how far the crashed attempt got and either finish it or undo it.
 //
-// recover() reports one of three outcomes, which is all the driver
-// (recover/driver.hpp) needs to resume the passage correctly:
+// recover() reports one of three outcomes, which is all the episode loop
+// (sim/episode.hpp) needs to resume the passage correctly:
 //   * None              -- the crash hit outside any passage (or after a
 //                          fully completed one); nothing to repair.
 //   * InCriticalSection -- the process holds the lock NOW: the crashed
@@ -31,25 +31,13 @@
 #include <string>
 
 #include "rmr/memory.hpp"
+#include "sim/episode.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 
 namespace rwr::recover {
 
-enum class RecoveryOutcome : std::uint8_t {
-    None,
-    InCriticalSection,
-    LockReleased,
-};
-
-[[nodiscard]] inline const char* to_string(RecoveryOutcome o) {
-    switch (o) {
-        case RecoveryOutcome::None: return "none";
-        case RecoveryOutcome::InCriticalSection: return "in-cs";
-        case RecoveryOutcome::LockReleased: return "released";
-    }
-    return "?";
-}
+using RecoveryOutcome = sim::RecoveryOutcome;
 
 /// A lock whose passages survive crash-restart faults. entry/exit dispatch
 /// on the process's role (a mutex treats every role the same); recover()

@@ -101,9 +101,9 @@ class Process {
     [[nodiscard]] bool crashed() const { return crashed_; }
 
     /// Builds the replacement task a process runs after a crash-restart
-    /// (typically a recovery driver, see recover/driver.hpp). Installing a
-    /// factory is what makes a process restartable; without one a
-    /// CrashRestart fault is an error.
+    /// (typically the recovering episode loop, see sim/episode.hpp).
+    /// Installing a factory is what makes a process restartable; without
+    /// one a CrashRestart fault is an error.
     using RestartFactory = std::function<SimTask<void>(Process&)>;
     void set_restart_factory(RestartFactory factory) {
         restart_factory_ = std::move(factory);

@@ -1,16 +1,16 @@
-// Abstract interface for simulated reader-writer locks, plus the standard
-// passage driver that wraps entry/CS/exit with section markers.
+// Abstract interface for simulated reader-writer locks, plus its episode
+// adapter and the standard passage driver built on it.
 //
 // A lock implementation allocates its shared variables from the System's
 // Memory at construction and expresses its entry/exit sections as SimTask
 // coroutines; each shared access inside them is a scheduling point.
 #pragma once
 
-#include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "rmr/stats.hpp"
+#include "sim/episode.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 
@@ -28,57 +28,38 @@ class SimRWLock {
     [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Per-passage step/RMR deltas, recorded by the driver.
-struct PassageRecord {
-    SectionStats delta;  ///< Stats accrued during this passage only.
+/// The RW lock adapter: each process enters and exits by its role.
+class RwLockEpisodes final : public EpisodeAdapter {
+   public:
+    explicit RwLockEpisodes(SimRWLock& lock) : lock_(lock) {}
+    explicit RwLockEpisodes(std::unique_ptr<SimRWLock> lock)
+        : owned_(std::move(lock)), lock_(*owned_) {}
+
+    SimTask<EnterResult> enter(Process& p) override {
+        if (p.is_reader()) {
+            co_await lock_.reader_entry(p);
+        } else {
+            co_await lock_.writer_entry(p);
+        }
+        co_return EnterResult::Acquired;
+    }
+    SimTask<void> exit(Process& p) override {
+        return p.is_reader() ? lock_.reader_exit(p) : lock_.writer_exit(p);
+    }
+
+   private:
+    std::unique_ptr<SimRWLock> owned_;
+    SimRWLock& lock_;
 };
 
-struct DriveConfig {
-    std::uint64_t passages = 1;
-    /// Local steps spent inside the CS per passage (scheduling points while
-    /// the process occupies the CS; >=1 so checkers can observe occupancy).
-    std::uint64_t cs_steps = 1;
-    /// Local steps spent in the remainder section between passages.
-    std::uint64_t remainder_steps = 0;
-    /// Record per-passage stats into `records` if non-null.
-    std::vector<PassageRecord>* records = nullptr;
-};
-
-/// Standard passage driver: runs `cfg.passages` passages of `p` through
-/// `lock`, maintaining section markers and optional per-passage records.
+/// Standard passage driver: runs `cfg.passages` more passages of `p`
+/// through `lock` on the episode loop, maintaining section markers and
+/// optional per-passage records.
 inline SimTask<void> drive_passages(SimRWLock& lock, Process& p,
                                     DriveConfig cfg) {
-    for (std::uint64_t k = 0; k < cfg.passages; ++k) {
-        const SectionStats before = p.stats();
-
-        p.set_section(Section::Entry);
-        if (p.is_reader()) {
-            co_await lock.reader_entry(p);
-        } else {
-            co_await lock.writer_entry(p);
-        }
-
-        p.set_section(Section::Critical);
-        for (std::uint64_t s = 0; s < cfg.cs_steps; ++s) {
-            co_await p.local_step();
-        }
-
-        p.set_section(Section::Exit);
-        if (p.is_reader()) {
-            co_await lock.reader_exit(p);
-        } else {
-            co_await lock.writer_exit(p);
-        }
-
-        p.set_section(Section::Remainder);
-        p.note_passage_complete();
-        if (cfg.records != nullptr) {
-            cfg.records->push_back(PassageRecord{p.stats() - before});
-        }
-        for (std::uint64_t s = 0; s < cfg.remainder_steps; ++s) {
-            co_await p.local_step();
-        }
-    }
+    RwLockEpisodes episodes(lock);
+    cfg.passages += p.completed_passages();
+    co_await run_episodes(episodes, p, cfg);
 }
 
 }  // namespace rwr::sim

@@ -13,15 +13,15 @@
 #include <memory>
 #include <numeric>
 
-#include "harness/experiment.hpp"
-#include "mutex/abort_experiment.hpp"
+#include "harness/locks.hpp"
 #include "mutex/abortable.hpp"
 #include "mutex/abortable_tournament.hpp"
-#include "mutex/explore_scenario.hpp"
+#include "mutex/episodes.hpp"
 #include "mutex/jj_amortized.hpp"
 #include "mutex/pw_randomized.hpp"
 #include "mutex/sim_mutex.hpp"
 #include "sim/broken_locks.hpp"
+#include "sim/driver.hpp"
 #include "sim/explorer.hpp"
 
 namespace rwr::mutex {
@@ -38,8 +38,20 @@ TEST(AbortControl, DefaultsAndFactories) {
 struct LockCase {
     const char* label;
     Protocol protocol;
-    AbortableMutexBuilder builder;
+    MutexBuilder builder;
 };
+
+/// m slots under the abort mix `rate`, round-robin, 2-step CS.
+sim::DriverConfig abort_cfg(MutexBuilder builder, std::uint32_t m,
+                            std::uint64_t passages, double rate) {
+    sim::DriverConfig cfg;
+    cfg.episodes = mutex_episodes(std::move(builder), m, {.abort_rate = rate});
+    cfg.passages = passages;
+    cfg.cs_steps = 2;
+    cfg.sched = sim::SchedKind::RoundRobin;
+    cfg.max_steps = 8'000'000;
+    return cfg;
+}
 
 std::vector<LockCase> abortable_cases(std::uint32_t m) {
     std::vector<LockCase> cases;
@@ -78,16 +90,10 @@ TEST(AbortExperiment, AbortHeavyPassagesCompleteAndLedgersReconcile) {
     constexpr std::uint32_t kM = 4;
     constexpr std::uint64_t kPassages = 16;
     for (const LockCase& c : abortable_cases(kM)) {
-        AbortExperimentConfig cfg;
-        cfg.builder = c.builder;
+        sim::DriverConfig cfg = abort_cfg(c.builder, kM, kPassages, 0.5);
         cfg.protocol = c.protocol;
-        cfg.m = kM;
-        cfg.passages = kPassages;
-        cfg.cs_steps = 2;
-        cfg.workload.abort_rate = 0.5;
-        cfg.workload.seed = 11;
-        cfg.record_episodes = true;
-        const AbortExperimentResult res = run_abort_experiment(cfg);
+        cfg.seed = 11;
+        const sim::DriverResult res = sim::run_driver(cfg);
 
         EXPECT_TRUE(res.finished) << c.label;
         EXPECT_EQ(res.me_violations, 0u) << c.label;
@@ -107,13 +113,17 @@ TEST(AbortExperiment, AbortHeavyPassagesCompleteAndLedgersReconcile) {
         // per-history total must charge exactly the same RMRs (remainder
         // beats between episodes are local steps, 0 RMRs).
         EXPECT_EQ(res.amortized.episode_rmrs, res.memory_rmrs) << c.label;
-        ASSERT_EQ(res.episodes.size(), res.amortized.episodes) << c.label;
+        std::uint64_t episodes = 0;
         std::uint64_t sum = 0;
         std::uint64_t aborted = 0;
-        for (const AbortEpisode& e : res.episodes) {
-            sum += e.rmrs;
-            aborted += e.aborted ? 1 : 0;
+        for (const auto& per_slot : res.records) {
+            for (const sim::PassageRecord& e : per_slot) {
+                ++episodes;
+                sum += e.delta.total_rmrs();
+                aborted += e.kind == sim::EpisodeKind::Aborted ? 1 : 0;
+            }
         }
+        ASSERT_EQ(episodes, res.amortized.episodes) << c.label;
         EXPECT_EQ(sum, res.amortized.episode_rmrs) << c.label;
         EXPECT_EQ(aborted, res.amortized.aborted_episodes) << c.label;
         const std::uint64_t proc_sum = std::accumulate(
@@ -123,14 +133,13 @@ TEST(AbortExperiment, AbortHeavyPassagesCompleteAndLedgersReconcile) {
 }
 
 TEST(AbortExperiment, ZeroAbortRateNeverAborts) {
-    AbortExperimentConfig cfg;
-    cfg.builder = [](Memory& mem) {
-        return std::unique_ptr<SimMutex>(
-            std::make_unique<JJAmortizedMutex>(mem, "jj", 3));
-    };
-    cfg.m = 3;
-    cfg.passages = 8;
-    const AbortExperimentResult res = run_abort_experiment(cfg);
+    const sim::DriverConfig cfg = abort_cfg(
+        [](Memory& mem) {
+            return std::unique_ptr<SimMutex>(
+                std::make_unique<JJAmortizedMutex>(mem, "jj", 3));
+        },
+        3, 8, 0.0);
+    const sim::DriverResult res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
     EXPECT_EQ(res.me_violations, 0u);
     EXPECT_EQ(res.amortized.aborted_episodes, 0u);
@@ -142,15 +151,13 @@ TEST(AbortExperiment, NonAbortableBuildersRideTheGridBlocking) {
     // A plain SimMutex builder must work with abort_rate > 0: the rate is
     // ignored (blocking enter), which is how the growth baselines share
     // the E18 grid.
-    AbortExperimentConfig cfg;
-    cfg.builder = [](Memory& mem) {
-        return std::unique_ptr<SimMutex>(
-            std::make_unique<TournamentSimMutex>(mem, "wl", 3));
-    };
-    cfg.m = 3;
-    cfg.passages = 8;
-    cfg.workload.abort_rate = 0.9;
-    const AbortExperimentResult res = run_abort_experiment(cfg);
+    const sim::DriverConfig cfg = abort_cfg(
+        [](Memory& mem) {
+            return std::unique_ptr<SimMutex>(
+                std::make_unique<TournamentSimMutex>(mem, "wl", 3));
+        },
+        3, 8, 0.9);
+    const sim::DriverResult res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
     EXPECT_EQ(res.me_violations, 0u);
     EXPECT_EQ(res.amortized.aborted_episodes, 0u);
@@ -160,22 +167,20 @@ TEST(AbortExperiment, NonAbortableBuildersRideTheGridBlocking) {
 // ---- Adversary schedulers: ME + bit-identical reruns -----------------------
 
 TEST(AbortExperiment, AdversarySchedulersAreDeterministicAndSafe) {
-    for (const AbortSched sched :
-         {AbortSched::RoundRobin, AbortSched::ObliviousRandom,
-          AbortSched::AdaptiveRmr}) {
-        AbortExperimentConfig cfg;
-        cfg.builder = [](Memory& mem) {
-            return std::unique_ptr<SimMutex>(
-                std::make_unique<PwRandomizedMutex>(mem, "pw", 4, /*seed=*/3));
-        };
-        cfg.m = 4;
-        cfg.passages = 8;
-        cfg.workload.abort_rate = 0.4;
-        cfg.workload.seed = 5;
+    for (const sim::SchedKind sched :
+         {sim::SchedKind::RoundRobin, sim::SchedKind::Random,
+          sim::SchedKind::AdaptiveRmr}) {
+        sim::DriverConfig cfg = abort_cfg(
+            [](Memory& mem) {
+                return std::unique_ptr<SimMutex>(
+                    std::make_unique<PwRandomizedMutex>(mem, "pw", 4,
+                                                        /*seed=*/3));
+            },
+            4, 8, 0.4);
         cfg.sched = sched;
-        cfg.sched_seed = 21;
-        const AbortExperimentResult a = run_abort_experiment(cfg);
-        const AbortExperimentResult b = run_abort_experiment(cfg);
+        cfg.seed = 21;
+        const sim::DriverResult a = sim::run_driver(cfg);
+        const sim::DriverResult b = sim::run_driver(cfg);
         const char* label = to_string(sched);
         EXPECT_TRUE(a.finished) << label;
         EXPECT_EQ(a.me_violations, 0u) << label;
@@ -192,17 +197,15 @@ TEST(AbortExperiment, AdversarySchedulersAreDeterministicAndSafe) {
 
 TEST(AbortExperiment, TrialEstimatorIsDeterministic) {
     const auto make_cfg = [](std::uint64_t trial_seed) {
-        AbortExperimentConfig cfg;
-        cfg.builder = [trial_seed](Memory& mem) {
-            return std::unique_ptr<SimMutex>(std::make_unique<PwRandomizedMutex>(
-                mem, "pw", 4, /*seed=*/trial_seed));
-        };
-        cfg.m = 4;
-        cfg.passages = 8;
-        cfg.workload.abort_rate = 0.5;
-        cfg.workload.seed = trial_seed;
-        cfg.sched = AbortSched::ObliviousRandom;
-        cfg.sched_seed = trial_seed;
+        sim::DriverConfig cfg = abort_cfg(
+            [trial_seed](Memory& mem) {
+                return std::unique_ptr<SimMutex>(
+                    std::make_unique<PwRandomizedMutex>(mem, "pw", 4,
+                                                        /*seed=*/trial_seed));
+            },
+            4, 8, 0.5);
+        cfg.sched = sim::SchedKind::Random;
+        cfg.seed = trial_seed;
         return cfg;
     };
     const TrialStats a = estimate_expected_amortized(make_cfg, 5, 9);
@@ -234,15 +237,21 @@ struct SweepOutcome {
 /// With expect_clean, every placement must explore with zero violations,
 /// zero deadlocks and zero truncations; the mutant test instead inspects
 /// the accumulated outcome.
-SweepOutcome sweep_abort_placements(const AbortableMutexFactory& builder,
+SweepOutcome sweep_abort_placements(const MutexBuilder& builder,
                                     std::uint32_t m, std::uint64_t passages,
                                     std::uint64_t cs_steps, const char* label,
                                     bool expect_clean) {
     SweepOutcome out;
     for (std::uint64_t j = 0;; ++j) {
         auto fired = std::make_shared<std::atomic<std::uint64_t>>(0);
-        const auto factory = abortable_mutex_scenario_factory(
-            builder, m, passages, cs_steps, /*aborter_slot=*/0, j, fired);
+        sim::DriverConfig cfg;
+        cfg.episodes = mutex_episodes(
+            builder, m,
+            {.aborter = 0, .first_patience = j, .fired = fired});
+        cfg.protocol = Protocol::WriteThrough;
+        cfg.passages = passages;
+        cfg.cs_steps = cs_steps;
+        const auto factory = sim::driver_factory(cfg);
         sim::ExploreOptions opt;
         opt.branch_depth = 10;
         opt.finish_budget = 50'000;
@@ -270,9 +279,9 @@ SweepOutcome sweep_abort_placements(const AbortableMutexFactory& builder,
 
 TEST(AbortPlacement, JJEveryPlacementKeepsMutualExclusion) {
     const SweepOutcome out = sweep_abort_placements(
-        [](Memory& mem, std::uint32_t m) {
-            return std::unique_ptr<AbortableSimMutex>(
-                std::make_unique<JJAmortizedMutex>(mem, "jj", m));
+        [](Memory& mem) {
+            return std::unique_ptr<SimMutex>(
+                std::make_unique<JJAmortizedMutex>(mem, "jj", 2));
         },
         2, /*passages=*/2, /*cs_steps=*/1, "jj", /*expect_clean=*/true);
     EXPECT_EQ(out.violations, 0u);
@@ -282,10 +291,10 @@ TEST(AbortPlacement, JJEveryPlacementKeepsMutualExclusion) {
 
 TEST(AbortPlacement, TournamentEveryPlacementKeepsMutualExclusion) {
     const SweepOutcome out = sweep_abort_placements(
-        [](Memory& mem, std::uint32_t m) {
-            return std::unique_ptr<AbortableSimMutex>(
+        [](Memory& mem) {
+            return std::unique_ptr<SimMutex>(
                 std::make_unique<AbortableTournamentMutex>(mem, "tournament",
-                                                           m));
+                                                           2));
         },
         2, /*passages=*/2, /*cs_steps=*/1, "tournament",
         /*expect_clean=*/true);
@@ -295,9 +304,9 @@ TEST(AbortPlacement, TournamentEveryPlacementKeepsMutualExclusion) {
 
 TEST(AbortPlacement, PwEveryPlacementKeepsMutualExclusion) {
     const SweepOutcome out = sweep_abort_placements(
-        [](Memory& mem, std::uint32_t m) {
-            return std::unique_ptr<AbortableSimMutex>(
-                std::make_unique<PwRandomizedMutex>(mem, "pw", m, /*seed=*/7));
+        [](Memory& mem) {
+            return std::unique_ptr<SimMutex>(
+                std::make_unique<PwRandomizedMutex>(mem, "pw", 2, /*seed=*/7));
         },
         2, /*passages=*/2, /*cs_steps=*/1, "pw", /*expect_clean=*/true);
     EXPECT_EQ(out.violations, 0u);
@@ -315,10 +324,10 @@ TEST(AbortPlacement, BrokenAbortMutantIsCaught) {
     // still surfaces, but as deadlock (grant cursor skipping a live
     // ticket) rather than overlap.
     const SweepOutcome out = sweep_abort_placements(
-        [](Memory& mem, std::uint32_t m) {
-            return std::unique_ptr<AbortableSimMutex>(
+        [](Memory& mem) {
+            return std::unique_ptr<SimMutex>(
                 std::make_unique<sim::BrokenAbortTicketMutex>(mem, "broken",
-                                                              m));
+                                                              2));
         },
         2, /*passages=*/1, /*cs_steps=*/20, "broken-abort",
         /*expect_clean=*/false);
@@ -333,20 +342,20 @@ TEST(AfIntegration, JjAndPwWlKindsKeepMutualExclusion) {
           core::WlKind::YaTournament}) {
         for (const bool dsm : {false, true}) {
             for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-                harness::ExperimentConfig cfg;
-                cfg.lock = dsm ? harness::LockKind::AfDsm
-                               : harness::LockKind::Af;
+                sim::DriverConfig cfg;
+                cfg.episodes = harness::lock_episodes(
+                    {.lock = dsm ? harness::LockKind::AfDsm
+                                 : harness::LockKind::Af,
+                     .n = 3,
+                     .m = 3,
+                     .f = 2,
+                     .wl = wl,
+                     .wl_seed = 5});
                 cfg.protocol = dsm ? Protocol::Dsm : Protocol::WriteBack;
-                cfg.n = 3;
-                cfg.m = 3;
-                cfg.f = 2;
-                cfg.wl = wl;
-                cfg.wl_seed = 5;
                 cfg.passages = 3;
-                cfg.sched = harness::SchedKind::Random;
+                cfg.sched = sim::SchedKind::Random;
                 cfg.seed = seed;
-                const harness::ExperimentResult res =
-                    harness::run_experiment(cfg);
+                const sim::DriverResult res = sim::run_driver(cfg);
                 EXPECT_TRUE(res.finished)
                     << core::to_string(wl) << " dsm=" << dsm << " seed "
                     << seed;
@@ -362,18 +371,20 @@ TEST(AfIntegration, DefaultWlKindKeepsHistoricConfigsBitIdentical) {
     // WlKind::PetersonTournament is the default everywhere: a config that
     // never mentions wl_kind must produce exactly the numbers it always
     // did. Guarded by comparing against an explicitly-defaulted twin.
-    harness::ExperimentConfig base;
-    base.n = 4;
-    base.m = 2;
-    base.f = 2;
+    sim::DriverConfig base;
+    base.episodes = harness::lock_episodes({.n = 4, .m = 2, .f = 2});
     base.passages = 4;
-    base.sched = harness::SchedKind::Random;
+    base.sched = sim::SchedKind::Random;
     base.seed = 7;
-    harness::ExperimentConfig twin = base;
-    twin.wl = core::WlKind::PetersonTournament;
-    twin.wl_seed = 1;
-    const auto a = harness::run_experiment(base);
-    const auto b = harness::run_experiment(twin);
+    sim::DriverConfig twin = base;
+    twin.episodes = harness::lock_episodes(
+        {.n = 4,
+         .m = 2,
+         .f = 2,
+         .wl = core::WlKind::PetersonTournament,
+         .wl_seed = 1});
+    const auto a = sim::run_driver(base);
+    const auto b = sim::run_driver(twin);
     EXPECT_EQ(a.steps, b.steps);
     EXPECT_EQ(a.writers.mean_passage_rmrs, b.writers.mean_passage_rmrs);
     EXPECT_EQ(a.readers.mean_passage_rmrs, b.readers.mean_passage_rmrs);

@@ -8,16 +8,14 @@
 #include <memory>
 
 #include "core/af_lock_sim.hpp"
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
+#include "sim/driver.hpp"
 #include "sim/explorer.hpp"
 
 namespace rwr::core {
 namespace {
 
-using harness::ExperimentConfig;
 using harness::LockKind;
-using harness::run_experiment;
-using harness::SchedKind;
 using sim::Process;
 using sim::Role;
 using sim::SimTask;
@@ -46,28 +44,24 @@ TEST(AfLock, GroupAssignment) {
 }
 
 TEST(AfLock, SoloReaderPassage) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
-    cfg.n = 1;
-    cfg.m = 1;
-    cfg.f = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 1, .m = 1, .f = 1});
     cfg.passages = 3;
-    cfg.sched = SchedKind::RoundRobin;
-    const auto res = run_experiment(cfg);
+    cfg.sched = sim::SchedKind::RoundRobin;
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
     EXPECT_EQ(res.me_violations, 0u);
     EXPECT_EQ(res.readers.num_passages, 3u);
 }
 
 TEST(AfLock, SoloWriterPassage) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
-    cfg.n = 2;
-    cfg.m = 1;
-    cfg.f = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 2, .m = 1, .f = 1});
     cfg.passages = 1;
-    cfg.sched = SchedKind::RoundRobin;
-    const auto res = run_experiment(cfg);
+    cfg.sched = sim::SchedKind::RoundRobin;
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
     EXPECT_EQ(res.writers.num_passages, 1u);
     EXPECT_EQ(res.me_violations, 0u);
@@ -83,16 +77,14 @@ TEST_P(AfSweep, MutualExclusionAndProgress) {
     if (f > n) {
         GTEST_SKIP() << "f > n is not a valid parameterization";
     }
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = n, .m = m, .f = f});
     cfg.protocol = proto;
-    cfg.n = n;
-    cfg.m = m;
-    cfg.f = f;
     cfg.passages = 4;
     cfg.cs_steps = 2;
     cfg.seed = seed;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished) << "deadlock/livelock suspected";
     EXPECT_EQ(res.me_violations, 0u);
     EXPECT_EQ(res.readers.num_passages, static_cast<std::uint64_t>(n) * 4);
@@ -109,15 +101,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range<std::uint64_t>(0, 4)));
 
 TEST(AfLock, ExhaustiveSmallSchedules_N2M1F1) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 2, .m = 1, .f = 1});
     cfg.protocol = Protocol::WriteThrough;
-    cfg.n = 2;
-    cfg.m = 1;
-    cfg.f = 1;
     cfg.passages = 1;
     const auto res =
-        sim::explore_dfs(harness::scenario_factory(cfg), 12, 100'000);
+        sim::explore_dfs(sim::driver_factory(cfg), 12, 100'000);
     EXPECT_EQ(res.violations, 0u) << res.first_violation;
     EXPECT_EQ(res.incomplete_runs, 0u);
     EXPECT_EQ(res.truncated_runs, 0u);
@@ -125,44 +115,39 @@ TEST(AfLock, ExhaustiveSmallSchedules_N2M1F1) {
 }
 
 TEST(AfLock, ExhaustiveSmallSchedules_N2M1F2) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
+    sim::DriverConfig cfg;
+    // f = 2: two singleton groups.
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 2, .m = 1, .f = 2});
     cfg.protocol = Protocol::WriteBack;
-    cfg.n = 2;
-    cfg.m = 1;
-    cfg.f = 2;  // Two singleton groups.
     cfg.passages = 1;
     const auto res =
-        sim::explore_dfs(harness::scenario_factory(cfg), 12, 100'000);
+        sim::explore_dfs(sim::driver_factory(cfg), 12, 100'000);
     EXPECT_EQ(res.violations, 0u) << res.first_violation;
     EXPECT_EQ(res.incomplete_runs, 0u);
     EXPECT_EQ(res.truncated_runs, 0u);
 }
 
 TEST(AfLock, ExhaustiveSmallSchedules_N1M2) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 1, .m = 2, .f = 1});
     cfg.protocol = Protocol::WriteThrough;
-    cfg.n = 1;
-    cfg.m = 2;
-    cfg.f = 1;
     cfg.passages = 1;
     const auto res =
-        sim::explore_dfs(harness::scenario_factory(cfg), 12, 100'000);
+        sim::explore_dfs(sim::driver_factory(cfg), 12, 100'000);
     EXPECT_EQ(res.violations, 0u) << res.first_violation;
     EXPECT_EQ(res.incomplete_runs, 0u);
     EXPECT_EQ(res.truncated_runs, 0u);
 }
 
 TEST(AfLock, RandomizedDeepSchedules) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 3, .m = 2, .f = 2});
     cfg.protocol = Protocol::WriteBack;
-    cfg.n = 3;
-    cfg.m = 2;
-    cfg.f = 2;
     cfg.passages = 3;
-    const auto res = sim::explore_random(harness::scenario_factory(cfg),
+    const auto res = sim::explore_random(sim::driver_factory(cfg),
                                          300, /*seed=*/42, 2'000'000);
     EXPECT_EQ(res.violations, 0u) << res.first_violation;
     EXPECT_EQ(res.incomplete_runs, 0u);
@@ -172,15 +157,13 @@ TEST(AfLock, RandomizedDeepSchedules) {
 TEST(AfLock, ReadersShareTheCriticalSection) {
     // The whole point of an RW lock: with a long CS and many readers, the
     // checker must observe genuine reader concurrency.
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
-    cfg.n = 6;
-    cfg.m = 1;
-    cfg.f = 2;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 6, .m = 1, .f = 2});
     cfg.passages = 5;
     cfg.cs_steps = 8;
     cfg.seed = 3;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
     EXPECT_GE(res.max_concurrent_readers, 3u);
 }
@@ -192,13 +175,12 @@ TEST(AfLock, ConcurrentEnteringStepsBounded) {
     // per level) + one RSIG read. We verify the max entry steps over a
     // heavily contended reader-only run is within the deterministic bound.
     for (const std::uint32_t n : {4u, 16u, 64u}) {
-        ExperimentConfig cfg;
-        cfg.lock = LockKind::Af;
-        cfg.n = n;
-        cfg.m = 1;  // Writer present but performs 0 passages... we model
-                    // this by making everyone run, then only checking
-                    // readers in a separate writer-free config below.
-        cfg.f = 1;
+        sim::DriverConfig cfg;
+        // m = 1: writer present but performs 0 passages... we model this
+        // by making everyone run, then only checking readers in a
+        // separate writer-free config below.
+        cfg.episodes = harness::lock_episodes(
+            {.lock = LockKind::Af, .n = n, .m = 1, .f = 1});
         cfg.passages = 3;
         cfg.seed = 17;
         // Writer-free variant: m must be >= 1 for the lock, so give the
@@ -235,14 +217,12 @@ TEST(AfLock, ConcurrentEnteringStepsBounded) {
 TEST(AfLock, BoundedExit) {
     // Bounded Exit: reader and writer exits complete within a deterministic
     // number of own steps regardless of scheduling (no waiting in exit).
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
-    cfg.n = 8;
-    cfg.m = 2;
-    cfg.f = 2;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 8, .m = 2, .f = 2});
     cfg.passages = 4;
     cfg.seed = 11;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     ASSERT_TRUE(res.finished);
     const std::uint32_t K = (8 + 1) / 2;  // ceil(8/2)=4.
     const auto levels =
@@ -261,14 +241,12 @@ TEST(AfLock, BoundedExit) {
 TEST(AfLock, NoReaderStarvationUnderFairSchedules) {
     // Lemma 16: readers never starve. Under fair random scheduling with
     // writers continuously cycling, every reader finishes its passages.
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
-    cfg.n = 6;
-    cfg.m = 3;
-    cfg.f = 3;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 6, .m = 3, .f = 3});
     cfg.passages = 8;
     cfg.seed = 23;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
     EXPECT_EQ(res.readers.num_passages, 48u);
 }
@@ -350,14 +328,12 @@ TEST(AfLock, WriterRmrGrowsWithF_ReaderRmrShrinksWithF) {
     double writer_low_f = 0, writer_high_f = 0;
     double reader_low_f = 0, reader_high_f = 0;
     for (const std::uint32_t f : {1u, 64u}) {
-        ExperimentConfig cfg;
-        cfg.lock = LockKind::Af;
-        cfg.n = n;
-        cfg.m = 1;
-        cfg.f = f;
+        sim::DriverConfig cfg;
+        cfg.episodes = harness::lock_episodes(
+            {.lock = LockKind::Af, .n = n, .m = 1, .f = f});
         cfg.passages = 2;
-        cfg.sched = SchedKind::RoundRobin;
-        const auto res = run_experiment(cfg);
+        cfg.sched = sim::SchedKind::RoundRobin;
+        const auto res = sim::run_driver(cfg);
         ASSERT_TRUE(res.finished);
         if (f == 1) {
             writer_low_f = res.writers.mean_passage_rmrs;

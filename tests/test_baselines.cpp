@@ -5,17 +5,14 @@
 // Concurrent Entering (readers never share the CS).
 #include <gtest/gtest.h>
 
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
+#include "sim/driver.hpp"
 #include "sim/explorer.hpp"
 
 namespace rwr::baselines {
 namespace {
 
-using harness::ExperimentConfig;
 using harness::LockKind;
-using harness::run_experiment;
-using harness::scenario_factory;
-using harness::SchedKind;
 
 class BaselineSweep
     : public ::testing::TestWithParam<
@@ -24,15 +21,13 @@ class BaselineSweep
 
 TEST_P(BaselineSweep, MutualExclusionAndProgress) {
     const auto [kind, proto, n, m, seed] = GetParam();
-    ExperimentConfig cfg;
-    cfg.lock = kind;
+    sim::DriverConfig cfg;
+    cfg.episodes = harness::lock_episodes({.lock = kind, .n = n, .m = m});
     cfg.protocol = proto;
-    cfg.n = n;
-    cfg.m = m;
     cfg.passages = 4;
     cfg.cs_steps = 2;
     cfg.seed = seed;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished) << "deadlock/livelock suspected for "
                               << harness::to_string(kind);
     EXPECT_EQ(res.me_violations, 0u);
@@ -55,13 +50,11 @@ INSTANTIATE_TEST_SUITE_P(
 class BaselineExhaustive : public ::testing::TestWithParam<LockKind> {};
 
 TEST_P(BaselineExhaustive, SmallSchedules) {
-    ExperimentConfig cfg;
-    cfg.lock = GetParam();
+    sim::DriverConfig cfg;
+    cfg.episodes = harness::lock_episodes({.lock = GetParam(), .n = 2, .m = 1});
     cfg.protocol = Protocol::WriteBack;
-    cfg.n = 2;
-    cfg.m = 1;
     cfg.passages = 1;
-    const auto res = sim::explore_dfs(scenario_factory(cfg), 12, 100'000);
+    const auto res = sim::explore_dfs(sim::driver_factory(cfg), 12, 100'000);
     EXPECT_EQ(res.violations, 0u) << res.first_violation;
     EXPECT_EQ(res.incomplete_runs, 0u);
 }
@@ -77,13 +70,12 @@ TEST(FaaLock, ReaderExitIsConstantRmr) {
     // The FAA evasion: even under heavy contention, a reader's exit is at
     // most a couple of steps (one FAA, possibly one gate write).
     for (const std::uint32_t n : {4u, 16u, 64u}) {
-        ExperimentConfig cfg;
-        cfg.lock = LockKind::Faa;
-        cfg.n = n;
-        cfg.m = 2;
+        sim::DriverConfig cfg;
+        cfg.episodes =
+            harness::lock_episodes({.lock = LockKind::Faa, .n = n, .m = 2});
         cfg.passages = 4;
         cfg.seed = 9;
-        const auto res = run_experiment(cfg);
+        const auto res = sim::run_driver(cfg);
         ASSERT_TRUE(res.finished);
         EXPECT_LE(res.readers.max_steps[static_cast<int>(Section::Exit)], 2u)
             << "n=" << n;
@@ -91,40 +83,37 @@ TEST(FaaLock, ReaderExitIsConstantRmr) {
 }
 
 TEST(FaaLock, ReadersShareCs) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Faa;
-    cfg.n = 6;
-    cfg.m = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Faa, .n = 6, .m = 1});
     cfg.passages = 5;
     cfg.cs_steps = 8;
     cfg.seed = 3;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     ASSERT_TRUE(res.finished);
     EXPECT_GE(res.max_concurrent_readers, 3u);
 }
 
 TEST(ReaderPrefLock, ReadersShareCs) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::ReaderPref;
-    cfg.n = 6;
-    cfg.m = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::ReaderPref, .n = 6, .m = 1});
     cfg.passages = 5;
     cfg.cs_steps = 8;
     cfg.seed = 3;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     ASSERT_TRUE(res.finished);
     EXPECT_GE(res.max_concurrent_readers, 3u);
 }
 
 TEST(CentralizedLock, ReadersShareCs) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Centralized;
-    cfg.n = 6;
-    cfg.m = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Centralized, .n = 6, .m = 1});
     cfg.passages = 5;
     cfg.cs_steps = 8;
     cfg.seed = 3;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     ASSERT_TRUE(res.finished);
     EXPECT_GE(res.max_concurrent_readers, 3u);
 }
@@ -132,27 +121,25 @@ TEST(CentralizedLock, ReadersShareCs) {
 TEST(BigMutexLock, ReadersNeverShareCs) {
     // The degenerate baseline violates Concurrent Entering: the CS is
     // exclusive even among readers.
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::BigMutex;
-    cfg.n = 6;
-    cfg.m = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::BigMutex, .n = 6, .m = 1});
     cfg.passages = 5;
     cfg.cs_steps = 8;
     cfg.seed = 3;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     ASSERT_TRUE(res.finished);
     EXPECT_EQ(res.max_concurrent_readers, 1u);
 }
 
 TEST(PhaseFairLock, ReadersShareCs) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::PhaseFair;
-    cfg.n = 6;
-    cfg.m = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::PhaseFair, .n = 6, .m = 1});
     cfg.passages = 5;
     cfg.cs_steps = 8;
     cfg.seed = 3;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     ASSERT_TRUE(res.finished);
     EXPECT_GE(res.max_concurrent_readers, 3u);
 }
@@ -160,13 +147,12 @@ TEST(PhaseFairLock, ReadersShareCs) {
 TEST(PhaseFairLock, WritersProgressUnderContention) {
     // The fairness property the paper's family lacks: under sustained
     // reader traffic with fair scheduling, writers keep completing.
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::PhaseFair;
-    cfg.n = 8;
-    cfg.m = 2;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::PhaseFair, .n = 8, .m = 2});
     cfg.passages = 10;
     cfg.seed = 5;
-    const auto res = run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
     EXPECT_EQ(res.writers.num_passages, 20u);
 }
@@ -176,13 +162,12 @@ TEST(ReaderPrefLock, ReaderSectionsGrowWithN) {
     // reader exit must grow with n -- here it does, Θ(log n) via rmutex.
     double exit_small = 0, exit_big = 0;
     for (const std::uint32_t n : {4u, 256u}) {
-        ExperimentConfig cfg;
-        cfg.lock = LockKind::ReaderPref;
-        cfg.n = n;
-        cfg.m = 1;
+        sim::DriverConfig cfg;
+        cfg.episodes = harness::lock_episodes(
+            {.lock = LockKind::ReaderPref, .n = n, .m = 1});
         cfg.passages = 2;
-        cfg.sched = SchedKind::RoundRobin;
-        const auto res = run_experiment(cfg);
+        cfg.sched = sim::SchedKind::RoundRobin;
+        const auto res = sim::run_driver(cfg);
         ASSERT_TRUE(res.finished);
         (n == 4 ? exit_small : exit_big) =
             res.readers.mean_rmrs[static_cast<int>(Section::Exit)];

@@ -93,7 +93,7 @@ TEST(DistVerbs, VerbValueSemantics) {
 TEST(DistVerbs, SessionLedgersSumToTotalWhenOnlySessionsStep) {
     // The virtual shard homes never issue verbs, so the sum of session
     // ledgers must equal Memory's global count -- the invariant
-    // run_dist_sim relies on when it reports network_rmrs.
+    // the dist episode adapter relies on when it reports network RMRs.
     Memory mem(Protocol::Dsm);
     SimVerbMemory svm = make_svm(mem);
     std::uint64_t expect_total = 0;

@@ -12,10 +12,11 @@
 #include <memory>
 #include <vector>
 
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
 #include "mutex/sim_mutex.hpp"
-#include "recover/recover_experiment.hpp"
+#include "recover/episodes.hpp"
 #include "recover/recoverable_jjj_mutex.hpp"
+#include "sim/driver.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 
@@ -280,26 +281,27 @@ TEST(JjjDsm, EntryCrashWalkStaysCorrectWithTheWakeLayer) {
     for (const Protocol proto : {Protocol::WriteBack, Protocol::Dsm}) {
         std::uint64_t steps_covered = 0;
         for (std::uint64_t s = 1; s <= 60; ++s) {
-            recover::RecoverExperimentConfig cfg;
-            cfg.lock = recover::RecoverLockKind::JJJMutex;
+            sim::DriverConfig cfg;
+            cfg.episodes = recover::recover_episodes(
+                {.lock = recover::RecoverLockKind::JJJMutex,
+                 .n = 0,
+                 .m = 2,
+                 .dsm_home = true});
             cfg.protocol = proto;
-            cfg.dsm_home = true;
-            cfg.n = 0;
-            cfg.m = 2;
             cfg.passages = 2;
-            cfg.sched = harness::SchedKind::RoundRobin;
+            cfg.sched = sim::SchedKind::RoundRobin;
             cfg.max_steps = 100000;
             cfg.faults.crash_restart(/*victim=*/0, Section::Entry, s);
-            const auto res = recover::run_recover_experiment(cfg);
+            const auto res = sim::run_driver(cfg);
             ASSERT_TRUE(res.finished)
                 << to_string(proto) << " entry step " << s;
-            if (res.restarts == 0) {
+            if (res.rme.restarts == 0) {
                 break;  // Fell off the section's end: coverage complete.
             }
             EXPECT_EQ(res.me_violations, 0u)
                 << to_string(proto) << " entry step " << s << ": "
                 << res.first_violation;
-            EXPECT_EQ(res.rme_violations, 0u)
+            EXPECT_EQ(res.rme.violations, 0u)
                 << to_string(proto) << " entry step " << s << ": "
                 << res.first_violation;
             ++steps_covered;
@@ -317,16 +319,14 @@ TEST(AfDsm, FullLockStaysCorrectUnderBothProtocols) {
     // untouched under CC and DSM accounting alike.
     for (const Protocol proto : {Protocol::WriteBack, Protocol::Dsm}) {
         for (std::uint64_t seed = 0; seed < 3; ++seed) {
-            harness::ExperimentConfig cfg;
-            cfg.lock = harness::LockKind::AfDsm;
+            sim::DriverConfig cfg;
+            cfg.episodes = harness::lock_episodes(
+                {.lock = harness::LockKind::AfDsm, .n = 8, .m = 1, .f = 2});
             cfg.protocol = proto;
-            cfg.n = 8;
-            cfg.m = 1;
-            cfg.f = 2;
             cfg.passages = 3;
             cfg.seed = seed;
             cfg.check_mutual_exclusion = true;
-            const auto res = harness::run_experiment(cfg);
+            const auto res = sim::run_driver(cfg);
             ASSERT_TRUE(res.finished)
                 << to_string(proto) << " seed=" << seed;
             EXPECT_EQ(res.me_violations, 0u)

@@ -7,9 +7,9 @@
 
 #include <memory>
 
-#include "harness/experiment.hpp"
 #include "harness/locks.hpp"
 #include "knowledge/erasure.hpp"
+#include "sim/driver.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
 

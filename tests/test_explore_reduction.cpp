@@ -14,11 +14,12 @@
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
-#include "mutex/explore_scenario.hpp"
+#include "harness/locks.hpp"
+#include "mutex/episodes.hpp"
 #include "mutex/sim_mutex.hpp"
-#include "recover/recover_experiment.hpp"
+#include "recover/episodes.hpp"
 #include "sim/broken_locks.hpp"
+#include "sim/driver.hpp"
 #include "sim/explorer.hpp"
 #include "sim/por.hpp"
 #include "sim/rwlock.hpp"
@@ -71,15 +72,13 @@ DiffOutcome diff_explore(const ScenarioFactory& factory, int depth,
     return out;
 }
 
-harness::ExperimentConfig af_cfg(Protocol proto, std::uint32_t n,
-                                 std::uint32_t m, std::uint32_t f,
-                                 harness::LockKind kind = harness::LockKind::Af) {
-    harness::ExperimentConfig cfg;
-    cfg.lock = kind;
+DriverConfig af_cfg(Protocol proto, std::uint32_t n, std::uint32_t m,
+                    std::uint32_t f,
+                    harness::LockKind kind = harness::LockKind::Af) {
+    DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = kind, .n = n, .m = m, .f = f});
     cfg.protocol = proto;
-    cfg.n = n;
-    cfg.m = m;
-    cfg.f = f;
     cfg.passages = 1;
     return cfg;
 }
@@ -88,19 +87,19 @@ harness::ExperimentConfig af_cfg(Protocol proto, std::uint32_t n,
 
 TEST(ExploreReduction, AfConfigsMatchFullEnumeration) {
     const auto a = diff_explore(
-        harness::scenario_factory(af_cfg(Protocol::WriteThrough, 2, 1, 1)),
+        sim::driver_factory(af_cfg(Protocol::WriteThrough, 2, 1, 1)),
         10, 100'000, "af-n2m1f1");
     EXPECT_EQ(a.full.violations, 0u);
     EXPECT_EQ(a.full.incomplete_runs, 0u);
     EXPECT_EQ(a.reduced.incomplete_runs, 0u);
 
     const auto b = diff_explore(
-        harness::scenario_factory(af_cfg(Protocol::WriteBack, 2, 1, 2)), 10,
+        sim::driver_factory(af_cfg(Protocol::WriteBack, 2, 1, 2)), 10,
         100'000, "af-n2m1f2");
     EXPECT_EQ(b.full.violations, 0u);
 
     const auto c = diff_explore(
-        harness::scenario_factory(af_cfg(Protocol::WriteThrough, 1, 2, 1)),
+        sim::driver_factory(af_cfg(Protocol::WriteThrough, 1, 2, 1)),
         10, 100'000, "af-n1m2");
     EXPECT_EQ(c.full.violations, 0u);
 }
@@ -109,44 +108,48 @@ TEST(ExploreReduction, AfDsmConfigMatchesFullEnumeration) {
     // The DSM tier goes through the same explorer (test_dsm_locks); homed
     // spin variables change the RMR accounting, not the step semantics.
     const auto r = diff_explore(
-        harness::scenario_factory(
+        sim::driver_factory(
             af_cfg(Protocol::Dsm, 2, 1, 1, harness::LockKind::AfDsm)),
         8, 100'000, "afdsm-n2m1");
     EXPECT_EQ(r.full.violations, 0u);
 }
 
 TEST(ExploreReduction, TournamentAndMcsMutexMatchFullEnumeration) {
+    const auto mutex_factory = [](mutex::MutexBuilder builder,
+                                  std::uint64_t passages) {
+        DriverConfig cfg;
+        cfg.episodes = mutex::mutex_episodes(std::move(builder), 2);
+        cfg.protocol = Protocol::WriteThrough;
+        cfg.passages = passages;
+        return driver_factory(cfg);
+    };
     const auto t = diff_explore(
-        mutex::mutex_scenario_factory(
-            [](Memory& mem, std::uint32_t m) {
+        mutex_factory(
+            [](Memory& mem) {
                 return std::make_unique<mutex::TournamentSimMutex>(mem, "mx",
-                                                                   m);
+                                                                   2);
             },
-            2, /*passages=*/2, /*cs_steps=*/1),
+            /*passages=*/2),
         12, 100'000, "tournament-m2");
     EXPECT_EQ(t.full.violations, 0u);
 
     const auto mc = diff_explore(
-        mutex::mutex_scenario_factory(
-            [](Memory& mem, std::uint32_t m) {
-                return std::make_unique<mutex::McsSimMutex>(mem, "mx", m);
+        mutex_factory(
+            [](Memory& mem) {
+                return std::make_unique<mutex::McsSimMutex>(mem, "mx", 2);
             },
-            2, /*passages=*/1, /*cs_steps=*/1),
+            /*passages=*/1),
         12, 100'000, "mcs-m2");
     EXPECT_EQ(mc.full.violations, 0u);
 }
 
 TEST(ExploreReduction, RecoverableConfigsMatchFullEnumeration) {
-    using recover::RecoverExperimentConfig;
     using recover::RecoverLockKind;
     const auto tiny = [](RecoverLockKind kind) {
-        RecoverExperimentConfig cfg;
-        cfg.lock = kind;
-        const bool mx = kind == RecoverLockKind::Mutex ||
-                        kind == RecoverLockKind::JJJMutex;
-        cfg.n = mx ? 0 : 2;
-        cfg.m = mx ? 2 : 1;
-        cfg.f = 1;
+        DriverConfig cfg;
+        const bool mx = recover::is_mutex_kind(kind);
+        cfg.episodes = recover::recover_episodes(
+            {.lock = kind, .n = mx ? 0U : 2U, .m = mx ? 2U : 1U, .f = 1});
         cfg.passages = 1;
         cfg.cs_steps = 1;
         cfg.max_steps = 100000;
@@ -158,7 +161,7 @@ TEST(ExploreReduction, RecoverableConfigsMatchFullEnumeration) {
          {RecoverLockKind::Mutex, RecoverLockKind::JJJMutex,
           RecoverLockKind::RwLock}) {
         const auto r = diff_explore(
-            recover::recover_scenario_factory(tiny(kind)), 5, 20'000,
+            sim::driver_factory(tiny(kind)), 5, 20'000,
             std::string("recover-") + recover::to_string(kind));
         EXPECT_EQ(r.full.violations, 0u);
     }
@@ -168,23 +171,21 @@ TEST(ExploreReduction, RecoverableConfigsMatchFullEnumeration) {
     // stays enabled and must agree.
     auto crash = tiny(RecoverLockKind::RwLock);
     crash.faults.crash_restart(/*victim=*/0, Section::Entry, 2);
-    const auto r = diff_explore(recover::recover_scenario_factory(crash), 4,
+    const auto r = diff_explore(sim::driver_factory(crash), 4,
                                 20'000, "recover-rrw-crash");
     EXPECT_EQ(r.full.violations, 0u);
 }
 
 TEST(ExploreReduction, StallFaultsDisableReductionButKeepVerdicts) {
-    using recover::RecoverExperimentConfig;
     using recover::RecoverLockKind;
-    RecoverExperimentConfig cfg;
-    cfg.lock = RecoverLockKind::Mutex;
-    cfg.n = 0;
-    cfg.m = 2;
+    DriverConfig cfg;
+    cfg.episodes = recover::recover_episodes(
+        {.lock = RecoverLockKind::Mutex, .n = 0, .m = 2});
     cfg.passages = 1;
     cfg.cs_steps = 1;
     cfg.max_steps = 100000;
     cfg.faults.stall(/*victim=*/0, Section::Entry, 1, /*steps=*/6);
-    const ScenarioFactory factory = recover::recover_scenario_factory(cfg);
+    const ScenarioFactory factory = sim::driver_factory(cfg);
 
     // Stall resume deadlines are global-step based, so the scenario vetoes
     // reduction (Scenario::reduction_safe) and explore(reduce=true) must
@@ -220,7 +221,7 @@ TEST(ExploreReduction, BrokenLocksStillCaught) {
 
 TEST(ExploreReduction, ExploreDfsMatchesFullExplore) {
     const auto factory =
-        harness::scenario_factory(af_cfg(Protocol::WriteThrough, 2, 1, 1));
+        sim::driver_factory(af_cfg(Protocol::WriteThrough, 2, 1, 1));
     const ExploreResult dfs = explore_dfs(factory, 9, 100'000);
     ExploreOptions opt;
     opt.branch_depth = 9;
@@ -237,7 +238,7 @@ TEST(ExploreReduction, ExploreDfsMatchesFullExplore) {
 
 TEST(ExploreReduction, DfsReplayChoicesAreStrictlyValidated) {
     const auto factory =
-        harness::scenario_factory(af_cfg(Protocol::WriteThrough, 1, 1, 1));
+        sim::driver_factory(af_cfg(Protocol::WriteThrough, 1, 1, 1));
     Scenario sc = factory();
     sc.sys->start_all();
     const std::size_t width = sc.sys->runnable().size();
@@ -279,7 +280,7 @@ TEST(ExploreReduction, AdjacentBaseSeedsProduceDisjointScheduleTraces) {
     // drive on a small scenario; adjacent bases must not replay a single
     // identical schedule.
     const auto factory =
-        harness::scenario_factory(af_cfg(Protocol::WriteThrough, 2, 2, 1));
+        sim::driver_factory(af_cfg(Protocol::WriteThrough, 2, 2, 1));
     const auto trace = [&](std::uint64_t base, std::uint64_t i) {
         Scenario sc = factory();
         RandomScheduler rnd(explore_run_seed(base, i));

@@ -12,8 +12,9 @@
 #include <memory>
 
 #include "core/af_lock_sim.hpp"
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
 #include "sim/checker.hpp"
+#include "sim/driver.hpp"
 #include "sim/fault.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
@@ -288,14 +289,12 @@ TEST(ProgressChecker, ThrowsWhenConfigured) {
 
 // ---- Harness-level wiring --------------------------------------------------
 
-harness::ExperimentConfig faulty_config() {
-    harness::ExperimentConfig cfg;
-    cfg.lock = harness::LockKind::Af;
-    cfg.n = 2;
-    cfg.m = 1;
-    cfg.f = 1;
+sim::DriverConfig faulty_config() {
+    sim::DriverConfig cfg;
+    cfg.episodes = harness::lock_episodes(
+        {.lock = harness::LockKind::Af, .n = 2, .m = 1, .f = 1});
     cfg.passages = 2;
-    cfg.sched = harness::SchedKind::Random;
+    cfg.sched = sim::SchedKind::Random;
     cfg.seed = 42;
     cfg.max_steps = 30000;
     cfg.faults.crash(/*victim=*/0, Section::Entry, /*step_in_section=*/6);
@@ -305,7 +304,7 @@ harness::ExperimentConfig faulty_config() {
 
 TEST(FaultExperiment, WriterStarvationIsDetectedAndDiagnosed) {
     auto cfg = faulty_config();
-    const auto res = harness::run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_FALSE(res.finished);
     EXPECT_FALSE(res.all_surviving_finished);
     EXPECT_EQ(res.crashed, 1u);
@@ -320,14 +319,14 @@ TEST(FaultExperiment, StarvationReproducesDeterministicallyFromReplay) {
     // a freshly built system. Every observable must match exactly.
     auto cfg = faulty_config();
     cfg.record_schedule = true;
-    const auto first = harness::run_experiment(cfg);
+    const auto first = sim::run_driver(cfg);
     ASSERT_TRUE(first.starvation || first.livelock);
     ASSERT_EQ(first.schedule.size(), first.steps);
 
     auto replay_cfg = faulty_config();
     replay_cfg.replay = first.schedule;
     replay_cfg.record_schedule = true;
-    const auto second = harness::run_experiment(replay_cfg);
+    const auto second = sim::run_driver(replay_cfg);
 
     EXPECT_EQ(second.steps, first.steps);
     EXPECT_EQ(second.crashed, first.crashed);
@@ -343,7 +342,7 @@ TEST(FaultExperiment, FaultFreeRunsAreUnaffectedByRobustnessKnobs) {
     auto cfg = faulty_config();
     cfg.faults = sim::FaultPlan{};
     cfg.record_schedule = true;
-    const auto res = harness::run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
     EXPECT_TRUE(res.all_surviving_finished);
     EXPECT_EQ(res.crashed, 0u);
@@ -358,7 +357,7 @@ TEST(FaultExperiment, WallDeadlineStopsALivelockedRun) {
     cfg.max_steps = 2'000'000'000;  // Would spin for minutes without a guard.
     cfg.progress_window = 0;
     cfg.wall_deadline_ms = 100;
-    const auto res = harness::run_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.deadline_expired);
     EXPECT_FALSE(res.finished);
     EXPECT_NE(res.progress_diagnosis.find("wall deadline"),

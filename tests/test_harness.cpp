@@ -7,9 +7,10 @@
 #include <set>
 #include <sstream>
 
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
 #include "harness/seeds.hpp"
 #include "harness/table.hpp"
+#include "sim/driver.hpp"
 #include "sim/por.hpp"
 #include "sim/scheduler.hpp"
 
@@ -36,14 +37,12 @@ TEST(Registry, AfClampsF) {
 }
 
 TEST(Experiment, AggregationArithmetic) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
-    cfg.n = 3;
-    cfg.m = 2;
-    cfg.f = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 3, .m = 2, .f = 1});
     cfg.passages = 5;
-    cfg.sched = SchedKind::RoundRobin;
-    const auto res = run_experiment(cfg);
+    cfg.sched = sim::SchedKind::RoundRobin;
+    const auto res = sim::run_driver(cfg);
     ASSERT_TRUE(res.finished);
     EXPECT_EQ(res.readers.num_passages, 15u);
     EXPECT_EQ(res.writers.num_passages, 10u);
@@ -61,40 +60,36 @@ TEST(Experiment, AggregationArithmetic) {
 }
 
 TEST(Experiment, RoundRobinIsDeterministic) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Centralized;
-    cfg.n = 4;
-    cfg.m = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Centralized, .n = 4, .m = 1});
     cfg.passages = 3;
-    cfg.sched = SchedKind::RoundRobin;
-    const auto a = run_experiment(cfg);
-    const auto b = run_experiment(cfg);
+    cfg.sched = sim::SchedKind::RoundRobin;
+    const auto a = sim::run_driver(cfg);
+    const auto b = sim::run_driver(cfg);
     EXPECT_EQ(a.steps, b.steps);
     EXPECT_EQ(a.readers.mean_passage_rmrs, b.readers.mean_passage_rmrs);
 }
 
 TEST(Experiment, SeedsChangeRandomRuns) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Centralized;
-    cfg.n = 4;
-    cfg.m = 2;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Centralized, .n = 4, .m = 2});
     cfg.passages = 3;
     cfg.seed = 1;
-    const auto a = run_experiment(cfg);
+    const auto a = sim::run_driver(cfg);
     cfg.seed = 2;
-    const auto b = run_experiment(cfg);
+    const auto b = sim::run_driver(cfg);
     // Overwhelmingly likely to differ in step counts.
     EXPECT_NE(a.steps, b.steps);
 }
 
 TEST(Experiment, ScenarioFactoryBuildsIdenticalSystems) {
-    ExperimentConfig cfg;
-    cfg.lock = LockKind::Af;
-    cfg.n = 2;
-    cfg.m = 1;
-    cfg.f = 2;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = LockKind::Af, .n = 2, .m = 1, .f = 2});
     cfg.passages = 1;
-    auto factory = scenario_factory(cfg);
+    auto factory = sim::driver_factory(cfg);
     const std::vector<std::size_t> choices{0, 1, 2, 0, 1, 2, 1, 1, 0};
     std::uint64_t steps[2];
     for (int i = 0; i < 2; ++i) {

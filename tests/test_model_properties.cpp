@@ -13,15 +13,14 @@
 
 #include <memory>
 
-#include "harness/experiment.hpp"
 #include "harness/locks.hpp"
+#include "sim/driver.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
 
 namespace rwr {
 namespace {
 
-using harness::ExperimentConfig;
 using harness::LockKind;
 using sim::Process;
 using sim::Role;

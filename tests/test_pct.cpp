@@ -8,7 +8,8 @@
 #include <memory>
 
 #include "counter/sim_counter.hpp"
-#include "harness/experiment.hpp"
+#include "harness/locks.hpp"
+#include "sim/driver.hpp"
 #include "sim/scheduler.hpp"
 
 namespace rwr::sim {
@@ -110,13 +111,11 @@ class PctLockSweep
 
 TEST_P(PctLockSweep, MutualExclusionUnderPct) {
     const auto [kind, seed] = GetParam();
-    harness::ExperimentConfig cfg;
-    cfg.lock = kind;
-    cfg.n = 3;
-    cfg.m = 2;
-    cfg.f = 2;
+    sim::DriverConfig cfg;
+    cfg.episodes =
+        harness::lock_episodes({.lock = kind, .n = 3, .m = 2, .f = 2});
     cfg.passages = 2;
-    auto factory = harness::scenario_factory(cfg);
+    auto factory = sim::driver_factory(cfg);
     auto sc = factory();
     // PCT is deliberately unfair, and these are spin-based (blocking)
     // algorithms: a deprioritized lock holder starves its spinners, so a

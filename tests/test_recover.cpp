@@ -10,13 +10,13 @@
 #include <stdexcept>
 #include <vector>
 
-#include "harness/parallel.hpp"
-#include "recover/driver.hpp"
-#include "recover/recover_experiment.hpp"
+#include "harness/pool.hpp"
+#include "recover/episodes.hpp"
 #include "recover/recoverable_mutex.hpp"
 #include "recover/recoverable_rwlock.hpp"
-#include "recover/rme_checker.hpp"
+#include "sim/driver.hpp"
 #include "sim/fault.hpp"
+#include "sim/rme_checker.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 
@@ -24,14 +24,12 @@ namespace rwr {
 namespace {
 
 using recover::RecoverableTournamentMutex;
-using recover::RecoverExperimentConfig;
-using recover::RecoverExperimentResult;
 using recover::RecoverLockKind;
 using recover::RecoveryOutcome;
-using recover::RmeChecker;
 using sim::FaultInjector;
 using sim::FaultPlan;
 using sim::Process;
+using sim::RmeChecker;
 using sim::Role;
 using sim::System;
 
@@ -409,18 +407,19 @@ TEST(RmeCheckerTeeth, ChainCounterResetsOnANormalCrash) {
 
 // ---- Experiment-level behaviour --------------------------------------------
 
-RecoverExperimentConfig base_cfg(RecoverLockKind kind) {
-    RecoverExperimentConfig cfg;
-    cfg.lock = kind;
-    cfg.n = (kind == RecoverLockKind::Mutex ||
-             kind == RecoverLockKind::JJJMutex)
-                ? 0
-                : 2;
-    cfg.m = 2;
-    cfg.f = 1;
+recover::RecoverSpec base_spec(RecoverLockKind kind) {
+    return {.lock = kind,
+            .n = recover::is_mutex_kind(kind) ? 0U : 2U,
+            .m = 2,
+            .f = 1};
+}
+
+sim::DriverConfig base_cfg(RecoverLockKind kind) {
+    sim::DriverConfig cfg;
+    cfg.episodes = recover::recover_episodes(base_spec(kind));
     cfg.passages = 2;
     cfg.cs_steps = 2;
-    cfg.sched = harness::SchedKind::RoundRobin;
+    cfg.sched = sim::SchedKind::RoundRobin;
     cfg.max_steps = 100000;
     return cfg;
 }
@@ -432,17 +431,15 @@ TEST(RecoverExperiment, CrashInsideTheCSRecoversWithBoundedRecovery) {
         auto cfg = base_cfg(kind);
         cfg.faults.crash_restart(/*victim=*/0, Section::Critical, 1);
         cfg.recovery_step_bound = 2;
-        const auto res = recover::run_recover_experiment(cfg);
+        const auto res = sim::run_driver(cfg);
         EXPECT_TRUE(res.finished) << to_string(kind);
-        EXPECT_EQ(res.restarts, 1u) << to_string(kind);
+        EXPECT_EQ(res.rme.restarts, 1u) << to_string(kind);
         EXPECT_EQ(res.me_violations, 0u) << to_string(kind);
-        EXPECT_EQ(res.rme_violations, 0u)
+        EXPECT_EQ(res.rme.violations, 0u)
             << to_string(kind) << ": " << res.first_violation;
-        EXPECT_LE(res.max_recovery_steps, 2u) << to_string(kind);
-        EXPECT_GE(res.total_passages,
-                  cfg.passages * (kind == RecoverLockKind::Mutex
-                                      ? cfg.m
-                                      : cfg.n + cfg.m))
+        EXPECT_LE(res.rme.max_recovery_steps, 2u) << to_string(kind);
+        EXPECT_GE(res.amortized.passages,
+                  cfg.passages * recover::num_processes(base_spec(kind)))
             << to_string(kind);
     }
 }
@@ -451,11 +448,11 @@ TEST(RecoverExperiment, CrashMidExitFinishesTheReleaseDuringRecovery) {
     for (const auto kind : {RecoverLockKind::Mutex, RecoverLockKind::RwLock}) {
         auto cfg = base_cfg(kind);
         cfg.faults.crash_restart(/*victim=*/0, Section::Exit, 1);
-        const auto res = recover::run_recover_experiment(cfg);
+        const auto res = sim::run_driver(cfg);
         EXPECT_TRUE(res.finished) << to_string(kind);
-        EXPECT_EQ(res.restarts, 1u) << to_string(kind);
+        EXPECT_EQ(res.rme.restarts, 1u) << to_string(kind);
         EXPECT_EQ(res.me_violations, 0u) << to_string(kind);
-        EXPECT_EQ(res.rme_violations, 0u)
+        EXPECT_EQ(res.rme.violations, 0u)
             << to_string(kind) << ": " << res.first_violation;
     }
 }
@@ -463,23 +460,22 @@ TEST(RecoverExperiment, CrashMidExitFinishesTheReleaseDuringRecovery) {
 TEST(RecoverExperiment, SurvivesACrashStormUnderRandomScheduling) {
     for (const auto kind : {RecoverLockKind::Mutex, RecoverLockKind::RwLock}) {
         auto cfg = base_cfg(kind);
-        cfg.sched = harness::SchedKind::Random;
+        cfg.sched = sim::SchedKind::Random;
         cfg.seed = 17;
         cfg.passages = 3;
-        const std::uint32_t procs =
-            kind == RecoverLockKind::Mutex ? cfg.m : cfg.n + cfg.m;
+        const std::uint32_t procs = recover::num_processes(base_spec(kind));
         // Two crashes per process, spread over sections.
         static constexpr Section kSecs[3] = {Section::Entry, Section::Critical,
                                              Section::Exit};
         for (std::uint32_t i = 0; i < 2 * procs; ++i) {
             cfg.faults.crash_restart(i % procs, kSecs[i % 3], 1 + i / 3);
         }
-        const auto res = recover::run_recover_experiment(cfg);
+        const auto res = sim::run_driver(cfg);
         EXPECT_TRUE(res.finished) << to_string(kind);
-        EXPECT_EQ(res.restarts, 2u * procs) << to_string(kind);
+        EXPECT_EQ(res.rme.restarts, 2u * procs) << to_string(kind);
         EXPECT_EQ(res.me_violations, 0u)
             << to_string(kind) << ": " << res.first_violation;
-        EXPECT_EQ(res.rme_violations, 0u)
+        EXPECT_EQ(res.rme.violations, 0u)
             << to_string(kind) << ": " << res.first_violation;
     }
 }
@@ -496,15 +492,16 @@ TEST(RecoverExperiment, NestedCrashIsAddressableViaMinRestarts) {
         cfg.faults.crash_restart(/*victim=*/0, Section::Recover, 1,
                                  /*min_restarts=*/1);
         cfg.faults.require_all_fired();
-        const auto res = recover::run_recover_experiment(cfg);
+        const auto res = sim::run_driver(cfg);
         EXPECT_TRUE(res.finished) << to_string(kind);
-        EXPECT_EQ(res.restarts, 2u) << to_string(kind);
+        EXPECT_EQ(res.rme.restarts, 2u) << to_string(kind);
         EXPECT_EQ(res.faults_fired, 2u) << to_string(kind);
-        EXPECT_EQ(res.me_violations + res.rme_violations, 0u)
+        EXPECT_EQ(res.me_violations + res.rme.violations, 0u)
             << to_string(kind) << ": " << res.first_violation;
-        EXPECT_GE(res.max_chain_recovery_steps, res.max_recovery_steps)
+        EXPECT_GE(res.rme.max_chain_recovery_steps,
+                  res.rme.max_recovery_steps)
             << to_string(kind);
-        EXPECT_GT(res.max_chain_recovery_steps, 0u) << to_string(kind);
+        EXPECT_GT(res.rme.max_chain_recovery_steps, 0u) << to_string(kind);
     }
 }
 
@@ -513,14 +510,14 @@ TEST(RecoverExperiment, RecoverySummaryCountsEveryEpisode) {
     cfg.faults.crash_restart(/*victim=*/0, Section::Entry, 1);
     cfg.faults.crash_restart(/*victim=*/1, Section::Critical, 1);
     cfg.faults.require_all_fired();
-    const auto res = recover::run_recover_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     ASSERT_TRUE(res.finished);
-    EXPECT_EQ(res.recovery.episodes, 2u);
-    EXPECT_GT(res.recovery.max_steps, 0u);
-    EXPECT_GE(static_cast<double>(res.recovery.max_rmrs),
-              res.recovery.mean_rmrs);
-    EXPECT_GE(static_cast<double>(res.recovery.max_steps),
-              res.recovery.mean_steps);
+    EXPECT_EQ(res.rme.recovery.episodes, 2u);
+    EXPECT_GT(res.rme.recovery.max_steps, 0u);
+    EXPECT_GE(static_cast<double>(res.rme.recovery.max_rmrs),
+              res.rme.recovery.mean_rmrs);
+    EXPECT_GE(static_cast<double>(res.rme.recovery.max_steps),
+              res.rme.recovery.mean_steps);
     EXPECT_EQ(res.stalled_at_exit, 0u);
 }
 
@@ -528,27 +525,28 @@ TEST(RecoverExperiment, RequireAllFiredPropagatesToTheRunner) {
     auto cfg = base_cfg(RecoverLockKind::Mutex);
     cfg.faults.crash_restart(/*victim=*/0, Section::Entry, 9999);
     cfg.faults.require_all_fired();
-    EXPECT_THROW(recover::run_recover_experiment(cfg), std::runtime_error);
+    EXPECT_THROW(sim::run_driver(cfg), std::runtime_error);
     // The same unfired placement without the flag is ordinary data.
     cfg.faults.require_all_fired(false);
-    const auto res = recover::run_recover_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
     EXPECT_EQ(res.faults_fired, 0u);
 }
 
-bool same_deterministic_fields(const RecoverExperimentResult& a,
-                               const RecoverExperimentResult& b) {
+bool same_deterministic_fields(const sim::DriverResult& a,
+                               const sim::DriverResult& b) {
     return a.finished == b.finished && a.steps == b.steps &&
-           a.total_passages == b.total_passages && a.restarts == b.restarts &&
-           a.max_recovery_steps == b.max_recovery_steps &&
-           a.max_chain_recovery_steps == b.max_chain_recovery_steps &&
-           a.recovery.episodes == b.recovery.episodes &&
-           a.recovery.mean_rmrs == b.recovery.mean_rmrs &&
-           a.recovery.max_rmrs == b.recovery.max_rmrs &&
+           a.amortized.passages == b.amortized.passages &&
+           a.rme.restarts == b.rme.restarts &&
+           a.rme.max_recovery_steps == b.rme.max_recovery_steps &&
+           a.rme.max_chain_recovery_steps == b.rme.max_chain_recovery_steps &&
+           a.rme.recovery.episodes == b.rme.recovery.episodes &&
+           a.rme.recovery.mean_rmrs == b.rme.recovery.mean_rmrs &&
+           a.rme.recovery.max_rmrs == b.rme.recovery.max_rmrs &&
            a.faults_fired == b.faults_fired &&
            a.stalled_at_exit == b.stalled_at_exit &&
            a.me_violations == b.me_violations &&
-           a.rme_violations == b.rme_violations && a.schedule == b.schedule &&
+           a.rme.violations == b.rme.violations && a.schedule == b.schedule &&
            a.readers.num_passages == b.readers.num_passages &&
            a.readers.mean_passage_rmrs == b.readers.mean_passage_rmrs &&
            a.writers.num_passages == b.writers.num_passages &&
@@ -560,13 +558,13 @@ TEST(RecoverExperiment, SweepCellsAreBitIdenticalAcrossJobCounts) {
     // influence the cell (everything except wall_ms is a pure function of
     // the config). Mixed grid over all four lock kinds, schedules recorded
     // to sharpen the check.
-    std::vector<RecoverExperimentConfig> cfgs;
+    std::vector<sim::DriverConfig> cfgs;
     for (const auto kind :
          {RecoverLockKind::Mutex, RecoverLockKind::JJJMutex,
           RecoverLockKind::RwLock, RecoverLockKind::RwLockJJJ}) {
         for (const std::uint64_t seed : {1, 2, 3}) {
             auto cfg = base_cfg(kind);
-            cfg.sched = harness::SchedKind::Random;
+            cfg.sched = sim::SchedKind::Random;
             cfg.seed = seed;
             cfg.record_schedule = true;
             cfg.faults.crash_restart(0, Section::Critical, 1);
@@ -574,18 +572,18 @@ TEST(RecoverExperiment, SweepCellsAreBitIdenticalAcrossJobCounts) {
             cfgs.push_back(cfg);
         }
     }
-    std::vector<RecoverExperimentResult> r1(cfgs.size());
-    std::vector<RecoverExperimentResult> r8(cfgs.size());
+    std::vector<sim::DriverResult> r1(cfgs.size());
+    std::vector<sim::DriverResult> r8(cfgs.size());
     harness::parallel_for(cfgs.size(), /*jobs=*/1, [&](std::size_t i) {
-        r1[i] = recover::run_recover_experiment(cfgs[i]);
+        r1[i] = sim::run_driver(cfgs[i]);
     });
     harness::parallel_for(cfgs.size(), /*jobs=*/8, [&](std::size_t i) {
-        r8[i] = recover::run_recover_experiment(cfgs[i]);
+        r8[i] = sim::run_driver(cfgs[i]);
     });
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         EXPECT_TRUE(same_deterministic_fields(r1[i], r8[i])) << "cell " << i;
         EXPECT_TRUE(r1[i].finished) << "cell " << i;
-        EXPECT_EQ(r1[i].me_violations + r1[i].rme_violations, 0u)
+        EXPECT_EQ(r1[i].me_violations + r1[i].rme.violations, 0u)
             << "cell " << i << ": " << r1[i].first_violation;
     }
 }

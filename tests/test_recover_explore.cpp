@@ -1,6 +1,7 @@
 // Model checking of the recoverable locks (explore_dfs over
-// recover_scenario_factory): for every single-crash placement -- every
-// victim, every section, every step index at which the fault can fire --
+// sim::driver_factory of recover_episodes): for every single-crash
+// placement -- every victim, every section, every step index at which the
+// fault can fire --
 // enumerate all schedule prefixes and prove mutual exclusion and
 // Critical-Section Reentry hold, with zero incomplete runs (nobody gets
 // stuck, i.e. recovery always converges). The nested variant then crashes
@@ -24,35 +25,29 @@
 #include <string>
 #include <vector>
 
-#include "recover/recover_experiment.hpp"
+#include "recover/episodes.hpp"
+#include "sim/driver.hpp"
 #include "sim/explorer.hpp"
 #include "sim/fault.hpp"
 
 namespace rwr {
 namespace {
 
-using recover::RecoverExperimentConfig;
 using recover::RecoverLockKind;
 
-bool is_mutex_kind(RecoverLockKind kind) {
-    return kind == RecoverLockKind::Mutex ||
-           kind == RecoverLockKind::JJJMutex;
+recover::RecoverSpec tiny_spec(RecoverLockKind kind) {
+    if (recover::is_mutex_kind(kind)) {
+        return {.lock = kind, .n = 0, .m = 2, .f = 1};
+    }
+    return {.lock = kind, .n = 2, .m = 1, .f = 1};
 }
 
-RecoverExperimentConfig tiny_cfg(RecoverLockKind kind) {
-    RecoverExperimentConfig cfg;
-    cfg.lock = kind;
-    if (is_mutex_kind(kind)) {
-        cfg.n = 0;
-        cfg.m = 2;
-    } else {
-        cfg.n = 2;
-        cfg.m = 1;
-    }
-    cfg.f = 1;
+sim::DriverConfig tiny_cfg(RecoverLockKind kind) {
+    sim::DriverConfig cfg;
+    cfg.episodes = recover::recover_episodes(tiny_spec(kind));
     cfg.passages = 1;
     cfg.cs_steps = 1;
-    cfg.sched = harness::SchedKind::RoundRobin;
+    cfg.sched = sim::SchedKind::RoundRobin;
     cfg.max_steps = 100000;
     return cfg;
 }
@@ -63,9 +58,8 @@ constexpr std::uint64_t kStepCap = 40;
 
 void explore_all_single_crash_placements(RecoverLockKind kind,
                                          int branch_depth) {
-    const RecoverExperimentConfig base = tiny_cfg(kind);
-    const std::uint32_t procs =
-        is_mutex_kind(kind) ? base.m : base.n + base.m;
+    const sim::DriverConfig base = tiny_cfg(kind);
+    const std::uint32_t procs = recover::num_processes(tiny_spec(kind));
     std::uint64_t placements_explored = 0;
     for (ProcId victim = 0; victim < procs; ++victim) {
         for (const Section section :
@@ -76,15 +70,15 @@ void explore_all_single_crash_placements(RecoverLockKind kind,
                 cfg.faults =
                     sim::FaultPlan{}.crash_restart(victim, section, step);
                 // Deterministic probe: does this placement fire at all?
-                const auto probe = recover::run_recover_experiment(cfg);
+                const auto probe = sim::run_driver(cfg);
                 ASSERT_TRUE(probe.finished)
                     << to_string(kind) << " probe v" << victim << " "
                     << to_string(section) << " s" << step;
-                if (probe.restarts == 0) {
+                if (probe.rme.restarts == 0) {
                     break;  // One past the section's end: coverage complete.
                 }
                 const auto res =
-                    sim::explore_dfs(recover::recover_scenario_factory(cfg),
+                    sim::explore_dfs(sim::driver_factory(cfg),
                                      branch_depth, /*finish_budget=*/20000);
                 const std::string at = to_string(kind) + " v" +
                                        std::to_string(victim) + " " +
@@ -134,9 +128,8 @@ TEST(RecoverExplore, RWLockEveryCrashPlacementKeepsMEAndCSR) {
 /// crash CAN fire has been explored.
 void explore_all_double_crash_placements(RecoverLockKind kind,
                                          int branch_depth) {
-    const RecoverExperimentConfig base = tiny_cfg(kind);
-    const std::uint32_t procs =
-        is_mutex_kind(kind) ? base.m : base.n + base.m;
+    const sim::DriverConfig base = tiny_cfg(kind);
+    const std::uint32_t procs = recover::num_processes(tiny_spec(kind));
     std::uint64_t placements_explored = 0;
     for (ProcId victim = 0; victim < procs; ++victim) {
         for (const Section section :
@@ -148,9 +141,9 @@ void explore_all_double_crash_placements(RecoverLockKind kind,
                     auto cfg = base;
                     cfg.faults =
                         sim::FaultPlan{}.crash_restart(victim, section, i);
-                    const auto probe = recover::run_recover_experiment(cfg);
+                    const auto probe = sim::run_driver(cfg);
                     ASSERT_TRUE(probe.finished);
-                    if (probe.restarts == 0) {
+                    if (probe.rme.restarts == 0) {
                         break;
                     }
                 }
@@ -162,17 +155,17 @@ void explore_all_double_crash_placements(RecoverLockKind kind,
                             .crash_restart(victim, section, i)
                             .crash_restart(victim, Section::Recover, j,
                                            /*min_restarts=*/1);
-                    const auto probe = recover::run_recover_experiment(cfg);
+                    const auto probe = sim::run_driver(cfg);
                     const std::string at =
                         to_string(kind) + " v" + std::to_string(victim) +
                         " " + to_string(section) + " s" + std::to_string(i) +
                         " then Recover s" + std::to_string(j);
                     ASSERT_TRUE(probe.finished) << at;
-                    if (probe.restarts < 2) {
+                    if (probe.rme.restarts < 2) {
                         break;  // Past the recovery's end: inner coverage.
                     }
                     const auto res = sim::explore_dfs(
-                        recover::recover_scenario_factory(cfg), branch_depth,
+                        sim::driver_factory(cfg), branch_depth,
                         /*finish_budget=*/20000);
                     EXPECT_GT(res.schedules_explored, 0u) << at;
                     EXPECT_EQ(res.violations, 0u)
@@ -219,7 +212,7 @@ TEST(RecoverExplore, CrashFreeBaselineExploresClean) {
          {RecoverLockKind::Mutex, RecoverLockKind::JJJMutex,
           RecoverLockKind::RwLock, RecoverLockKind::RwLockJJJ}) {
         const auto res = sim::explore_dfs(
-            recover::recover_scenario_factory(tiny_cfg(kind)),
+            sim::driver_factory(tiny_cfg(kind)),
             /*branch_depth=*/6, /*finish_budget=*/20000);
         EXPECT_GT(res.schedules_explored, 0u) << to_string(kind);
         EXPECT_EQ(res.violations, 0u)
@@ -235,27 +228,27 @@ TEST(RecoverExplore, CrashBearingScheduleReplaysBitIdentically) {
     // must match exactly -- the debugging loop a future violation relies on.
     auto cfg = tiny_cfg(RecoverLockKind::RwLock);
     cfg.passages = 2;
-    cfg.sched = harness::SchedKind::Random;
+    cfg.sched = sim::SchedKind::Random;
     cfg.seed = 5;
     cfg.record_schedule = true;
     cfg.faults.crash_restart(/*victim=*/0, Section::Critical, 1);
     cfg.faults.crash_restart(/*victim=*/2, Section::Entry, 2);
-    const auto first = recover::run_recover_experiment(cfg);
+    const auto first = sim::run_driver(cfg);
     ASSERT_TRUE(first.finished);
-    ASSERT_EQ(first.restarts, 2u);
+    ASSERT_EQ(first.rme.restarts, 2u);
     ASSERT_EQ(first.schedule.size(), first.steps);
-    ASSERT_EQ(first.me_violations + first.rme_violations, 0u)
+    ASSERT_EQ(first.me_violations + first.rme.violations, 0u)
         << first.first_violation;
 
     auto replay_cfg = cfg;
     replay_cfg.replay = first.schedule;
-    const auto second = recover::run_recover_experiment(replay_cfg);
+    const auto second = sim::run_driver(replay_cfg);
 
     EXPECT_EQ(second.steps, first.steps);
     EXPECT_EQ(second.finished, first.finished);
-    EXPECT_EQ(second.restarts, first.restarts);
-    EXPECT_EQ(second.max_recovery_steps, first.max_recovery_steps);
-    EXPECT_EQ(second.total_passages, first.total_passages);
+    EXPECT_EQ(second.rme.restarts, first.rme.restarts);
+    EXPECT_EQ(second.rme.max_recovery_steps, first.rme.max_recovery_steps);
+    EXPECT_EQ(second.amortized.passages, first.amortized.passages);
     EXPECT_EQ(second.schedule, first.schedule);
     EXPECT_EQ(second.readers.mean_passage_rmrs,
               first.readers.mean_passage_rmrs);

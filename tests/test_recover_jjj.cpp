@@ -13,9 +13,10 @@
 #include <stdexcept>
 #include <vector>
 
-#include "recover/recover_experiment.hpp"
+#include "recover/episodes.hpp"
 #include "recover/recoverable_jjj_mutex.hpp"
 #include "recover/recoverable_rwlock.hpp"
+#include "sim/driver.hpp"
 #include "sim/fault.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
@@ -24,7 +25,6 @@ namespace rwr {
 namespace {
 
 using recover::RecoverableJJJMutex;
-using recover::RecoverExperimentConfig;
 using recover::RecoverLockKind;
 using recover::RecoveryOutcome;
 using sim::Process;
@@ -151,15 +151,13 @@ TEST(JJJMutex, RecoverInsideTheCSIsConstantTime) {
 
 // ---- The lost-ticket window ------------------------------------------------
 
-RecoverExperimentConfig jjj_cfg(std::uint32_t m) {
-    RecoverExperimentConfig cfg;
-    cfg.lock = RecoverLockKind::JJJMutex;
-    cfg.n = 0;
-    cfg.m = m;
-    cfg.f = 1;
+sim::DriverConfig jjj_cfg(std::uint32_t m) {
+    sim::DriverConfig cfg;
+    cfg.episodes = recover::recover_episodes(
+        {.lock = RecoverLockKind::JJJMutex, .n = 0, .m = m, .f = 1});
     cfg.passages = 2;
     cfg.cs_steps = 1;
-    cfg.sched = harness::SchedKind::RoundRobin;
+    cfg.sched = sim::SchedKind::RoundRobin;
     cfg.max_steps = 100000;
     return cfg;
 }
@@ -174,15 +172,15 @@ TEST(JJJMutex, EveryEntryStepCrashIsRepairedIncludingTheLostTicket) {
     for (std::uint64_t s = 1; s <= 40; ++s) {
         auto cfg = jjj_cfg(/*m=*/2);
         cfg.faults.crash_restart(/*victim=*/0, Section::Entry, s);
-        const auto res = recover::run_recover_experiment(cfg);
+        const auto res = sim::run_driver(cfg);
         ASSERT_TRUE(res.finished) << "entry step " << s;
-        if (res.restarts == 0) {
+        if (res.rme.restarts == 0) {
             break;  // Walked off the end of the section: coverage complete.
         }
-        EXPECT_EQ(res.restarts, 1u) << "entry step " << s;
+        EXPECT_EQ(res.rme.restarts, 1u) << "entry step " << s;
         EXPECT_EQ(res.me_violations, 0u)
             << "entry step " << s << ": " << res.first_violation;
-        EXPECT_EQ(res.rme_violations, 0u)
+        EXPECT_EQ(res.rme.violations, 0u)
             << "entry step " << s << ": " << res.first_violation;
         ++steps_covered;
     }
@@ -201,12 +199,12 @@ TEST(JJJMutex, ExitCrashAtEveryStepFinishesTheRelease) {
         for (std::uint64_t s = 1; s <= 40; ++s) {
             auto cfg = jjj_cfg(m);
             cfg.faults.crash_restart(/*victim=*/0, Section::Exit, s);
-            const auto res = recover::run_recover_experiment(cfg);
+            const auto res = sim::run_driver(cfg);
             ASSERT_TRUE(res.finished) << "m=" << m << " exit step " << s;
-            if (res.restarts == 0) {
+            if (res.rme.restarts == 0) {
                 break;
             }
-            EXPECT_EQ(res.me_violations + res.rme_violations, 0u)
+            EXPECT_EQ(res.me_violations + res.rme.violations, 0u)
                 << "m=" << m << " exit step " << s << ": "
                 << res.first_violation;
             ++steps_covered;
@@ -226,14 +224,14 @@ TEST(JJJMutex, SurvivesNestedCrashDuringCertificateRecovery) {
         cfg.faults.crash_restart(/*victim=*/0, Section::Entry, 2);
         cfg.faults.crash_restart(/*victim=*/0, Section::Recover, j,
                                  /*min_restarts=*/1);
-        const auto res = recover::run_recover_experiment(cfg);
+        const auto res = sim::run_driver(cfg);
         ASSERT_TRUE(res.finished) << "recover step " << j;
-        if (res.restarts < 2) {
+        if (res.rme.restarts < 2) {
             break;  // Second crash fell past the recovery's end.
         }
-        EXPECT_EQ(res.me_violations + res.rme_violations, 0u)
+        EXPECT_EQ(res.me_violations + res.rme.violations, 0u)
             << "recover step " << j << ": " << res.first_violation;
-        EXPECT_GT(res.max_chain_recovery_steps, 0u) << "recover step " << j;
+        EXPECT_GT(res.rme.max_chain_recovery_steps, 0u) << "recover step " << j;
     }
 }
 
@@ -249,14 +247,12 @@ TEST(JJJInRWLock, NameAdvertisesTheEmbeddedWriterLock) {
 }
 
 TEST(JJJInRWLock, CrashStormOverBothRolesConvergesCleanly) {
-    RecoverExperimentConfig cfg;
-    cfg.lock = RecoverLockKind::RwLockJJJ;
-    cfg.n = 2;
-    cfg.m = 2;
-    cfg.f = 1;
+    sim::DriverConfig cfg;
+    cfg.episodes = recover::recover_episodes(
+        {.lock = RecoverLockKind::RwLockJJJ, .n = 2, .m = 2, .f = 1});
     cfg.passages = 3;
     cfg.cs_steps = 1;
-    cfg.sched = harness::SchedKind::Random;
+    cfg.sched = sim::SchedKind::Random;
     cfg.seed = 23;
     cfg.max_steps = 200000;
     // One crash per process (reader and writer alike), spread over sections.
@@ -265,14 +261,14 @@ TEST(JJJInRWLock, CrashStormOverBothRolesConvergesCleanly) {
     for (std::uint32_t v = 0; v < 4; ++v) {
         cfg.faults.crash_restart(v, kSecs[v % 3], 1);
     }
-    const auto res = recover::run_recover_experiment(cfg);
+    const auto res = sim::run_driver(cfg);
     EXPECT_TRUE(res.finished);
-    EXPECT_EQ(res.restarts, 4u);
+    EXPECT_EQ(res.rme.restarts, 4u);
     EXPECT_EQ(res.faults_fired, 4u);
     EXPECT_EQ(res.me_violations, 0u) << res.first_violation;
-    EXPECT_EQ(res.rme_violations, 0u) << res.first_violation;
-    EXPECT_EQ(res.recovery.episodes, 4u);
-    EXPECT_GT(res.recovery.max_rmrs, 0u);
+    EXPECT_EQ(res.rme.violations, 0u) << res.first_violation;
+    EXPECT_EQ(res.rme.recovery.episodes, 4u);
+    EXPECT_GT(res.rme.recovery.max_rmrs, 0u);
 }
 
 }  // namespace
