@@ -115,9 +115,15 @@ void NativeTable::reader_acquire(Session& s, std::uint32_t lock) {
                 }
                 return;  // Entered.
             }
+            // Backing out as the last counted reader: wake the writer
+            // draining now (re-read after the decrement, as reader_release
+            // does), not the one seen before it -- that one may be gone.
             const Word prev = vfaa(s, rcount_a, ~Word{0});
             if (prev == 1 && homed) {
-                bump_gate(s, static_cast<std::uint32_t>(f) - 1);
+                const Word drainer = vread(s, wflag_a);
+                if (drainer != 0) {
+                    bump_gate(s, static_cast<std::uint32_t>(drainer) - 1);
+                }
             }
         }
         if (homed) {
