@@ -17,10 +17,12 @@
 // Baseline rows MISSING from the new run are a hard error, one message per
 // row: a vanished row means the new binary silently dropped a
 // configuration, which would let a regression hide by deleting its row.
-// Rows only the new run has are informational ([new]).
+// The same holds one level down: a numeric field of a baseline row (say
+// "proc_rmr.writer_total_max") that its joined new row lacks is a hard
+// error too. Rows only the new run has are informational ([new]).
 //
-// Exit 1 iff any row regressed or went missing, so CI or a local loop can
-// gate on it:
+// Exit 1 iff any row regressed or any row or metric went missing, so CI or
+// a local loop can gate on it:
 //
 //   bench_native_throughput --json new.json && bench_compare BENCH_native.json new.json
 //
@@ -47,11 +49,17 @@ int compare(const Value& oldd, const Value& newd,
     }
     std::cout << rep.joined << " rows joined, " << rep.regressions.size()
               << " regression(s) beyond " << opts.max_drop * 100 << "%, "
-              << rep.missing.size() << " missing row(s)\n";
+              << rep.missing.size() << " missing row(s), "
+              << rep.missing_metrics.size() << " missing metric(s)\n";
     for (const auto& key : rep.missing) {
         std::cout << "  [MISSING] " << key
                   << ": present in baseline but absent from the new run "
                      "(dropped configuration?)\n";
+    }
+    for (const auto& metric : rep.missing_metrics) {
+        std::cout << "  [MISSING] " << metric
+                  << ": metric present in baseline but absent from the new "
+                     "row (dropped field?)\n";
     }
     for (const auto& f : rep.regressions) {
         std::cout << "  [REGRESS] " << f.key << " " << f.metric << ": "

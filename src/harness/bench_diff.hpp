@@ -2,7 +2,7 @@
 // drive it on in-memory documents (tests/test_bench_diff.cpp).
 //
 // diff() joins two rwr-bench-v1 documents on (bench, lock, protocol, n, m,
-// f, threads, workload) and reports three things:
+// f, threads, workload) and reports four things:
 //   * regressions -- metric moved beyond tolerance in the bad direction
 //     (throughput_ops / sim_rmr means / sim_perf.steps_per_sec /
 //     explore.schedules_explored and .schedules_per_sec /
@@ -15,6 +15,10 @@
 //     otherwise let a regression hide by deleting its row -- so missing
 //     rows are a HARD comparison failure (DiffReport::ok() is false), not
 //     an informational note;
+//   * missing metrics -- numeric leaves of a baseline row (e.g.
+//     "proc_rmr.writer_total_max") absent from its joined new row. Same
+//     reasoning, one level down: a metric the new binary stopped emitting
+//     cannot regress, so it is a HARD failure too;
 //   * added      -- rows only the new run has (informational: new coverage
 //     is fine).
 #pragma once
@@ -52,11 +56,15 @@ struct DiffReport {
     std::size_t joined = 0;
     std::vector<DiffFlag> regressions;
     std::vector<std::string> missing;  ///< Baseline rows the new run lacks.
+    /// "<row key> <dotted metric path>" per baseline numeric leaf the joined
+    /// new row lacks.
+    std::vector<std::string> missing_metrics;
     std::vector<std::string> added;    ///< New rows the baseline lacks.
 
-    /// Comparison passes only with zero regressions AND zero missing rows.
+    /// Passes only with zero regressions, missing rows and missing metrics.
     [[nodiscard]] bool ok() const {
-        return regressions.empty() && missing.empty();
+        return regressions.empty() && missing.empty() &&
+               missing_metrics.empty();
     }
 };
 
@@ -102,6 +110,28 @@ inline void diff_metric(const std::string& key, const char* metric,
     }
 }
 
+/// Appends every numeric leaf under `old_obj` that `new_obj` lacks (or
+/// holds as a non-number), as "<key> <path>".
+inline void collect_missing_metrics(const std::string& key,
+                                    const std::string& path,
+                                    const json::Value& old_obj,
+                                    const json::Value* new_obj,
+                                    std::vector<std::string>* out) {
+    for (const auto& [name, ov] : old_obj.members()) {
+        const std::string leaf = path.empty() ? name : path + "." + name;
+        const json::Value* nv =
+            new_obj == nullptr ? nullptr : new_obj->find(name);
+        if (ov.type() == json::Value::Type::Object) {
+            const bool nested =
+                nv != nullptr && nv->type() == json::Value::Type::Object;
+            collect_missing_metrics(key, leaf, ov, nested ? nv : nullptr,
+                                    out);
+        } else if (ov.is_number() && (nv == nullptr || !nv->is_number())) {
+            out->push_back(key + " " + leaf);
+        }
+    }
+}
+
 }  // namespace detail
 
 /// Both documents must already be validate()d.
@@ -118,6 +148,8 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
         }
         ++rep.joined;
         const json::Value* new_row = it->second;
+        detail::collect_missing_metrics(key, "", *old_row, new_row,
+                                        &rep.missing_metrics);
         const json::Value* old_t = old_row->find("throughput_ops");
         const json::Value* new_t = new_row->find("throughput_ops");
         if (old_t != nullptr && new_t != nullptr) {

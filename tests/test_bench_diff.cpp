@@ -1,11 +1,13 @@
 // Unit tests for the bench_compare join/diff engine (harness/bench_diff.hpp)
 // on in-memory documents. The load-bearing behaviour: rows present in the
 // baseline but absent from the new run are a HARD failure (a vanished row
-// would let a regression hide by deleting its row), while rows only the new
-// run has are informational.
+// would let a regression hide by deleting its row), and so are numeric
+// metrics a joined row stopped carrying, while rows only the new run has
+// are informational.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "harness/bench_diff.hpp"
 #include "harness/bench_json.hpp"
@@ -75,6 +77,42 @@ TEST(BenchDiff, MissingBaselineRowIsAHardFailure) {
     ASSERT_EQ(rep.missing.size(), 1u);
     // The message names the vanished row precisely.
     EXPECT_EQ(rep.missing[0], "t/af/write-back/n16/m1/f1/t17/w-");
+}
+
+TEST(BenchDiff, MissingMetricIsAHardFailure) {
+    auto oldd = bench::make_doc("t");
+    auto newd = bench::make_doc("t");
+    auto old_row = make_row("af", 8, 10.0, 5.0);
+    auto prmr = json::Value::object();
+    prmr.set("reader_total_mean", 1.0);
+    prmr.set("reader_total_max", std::uint64_t{1});
+    prmr.set("writer_total_mean", 2.0);
+    prmr.set("writer_total_max", std::uint64_t{2});
+    old_row.set("proc_rmr", std::move(prmr));
+    results_of(oldd)->push_back(std::move(old_row));
+    // The new row joins, keeps every gated mean, but dropped the proc_rmr
+    // group and one sim_rmr leaf -- nothing left to regress, so the diff
+    // must fail on the absence itself.
+    auto new_row = make_row("af", 8, 10.0, 5.0);
+    auto rmr = json::Value::object();
+    rmr.set("reader_mean_passage", 10.0);
+    rmr.set("writer_mean_passage", 5.0);
+    rmr.set("writer_max_passage", 5.0);
+    new_row.set("sim_rmr", std::move(rmr));
+    results_of(newd)->push_back(std::move(new_row));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    EXPECT_FALSE(rep.ok());
+    EXPECT_EQ(rep.joined, 1u);
+    EXPECT_TRUE(rep.missing.empty());
+    EXPECT_TRUE(rep.regressions.empty());
+    const std::string key = "t/af/write-back/n8/m1/f1/t9/w-";
+    EXPECT_EQ(rep.missing_metrics,
+              (std::vector<std::string>{
+                  key + " sim_rmr.reader_max_passage",
+                  key + " proc_rmr.reader_total_mean",
+                  key + " proc_rmr.reader_total_max",
+                  key + " proc_rmr.writer_total_mean",
+                  key + " proc_rmr.writer_total_max"}));
 }
 
 TEST(BenchDiff, AddedRowsAreInformational) {
