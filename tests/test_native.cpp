@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
@@ -291,12 +292,16 @@ TEST(NativePhaseFair, WritersCompleteUnderReaderTraffic) {
 
 TEST(NativeAfLock, ReadersOverlapInTheCs) {
     // With a writer-free workload and blocking readers, reader concurrency
-    // must actually materialize (scheduler permitting; retry a few times
-    // since a 1-core box can serialize short CSes by chance).
+    // must actually materialize. Each reader's first passage holds the CS
+    // until a second reader has joined it (or a generous deadline passes),
+    // so a loaded or 1-core box serializing short CSes cannot hide the
+    // overlap -- only a lock that really excludes readers can.
     AfLock lock(4, 1, 2);
     std::atomic<std::int32_t> in{0};
     std::atomic<std::int32_t> max_in{0};
     std::atomic<bool> go{false};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
     std::vector<std::thread> threads;
     for (std::uint32_t r = 0; r < 4; ++r) {
         threads.emplace_back([&, r] {
@@ -310,6 +315,10 @@ TEST(NativeAfLock, ReadersOverlapInTheCs) {
                 while (now > mx && !max_in.compare_exchange_weak(mx, now)) {
                 }
                 std::this_thread::yield();
+                while (i == 0 && max_in.load() < 2 &&
+                       std::chrono::steady_clock::now() < deadline) {
+                    std::this_thread::yield();
+                }
                 in.fetch_sub(1);
                 lock.unlock_shared(r);
             }
