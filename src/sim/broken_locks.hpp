@@ -10,8 +10,7 @@
 #include <string>
 
 #include "mutex/jj_amortized.hpp"
-#include "sim/checker.hpp"
-#include "sim/explorer.hpp"
+#include "sim/driver.hpp"
 #include "sim/rwlock.hpp"
 #include "sim/system.hpp"
 
@@ -131,24 +130,12 @@ class BrokenAbortTicketMutex final : public mutex::JJAmortizedMutex {
 template <typename LockT>
 [[nodiscard]] inline ScenarioFactory broken_factory(std::uint32_t n,
                                                     std::uint32_t m) {
-    return [n, m]() {
-        Scenario sc;
-        sc.sys = std::make_unique<System>(Protocol::WriteBack);
-        auto lock = std::make_unique<LockT>(sc.sys->memory());
-        for (std::uint32_t i = 0; i < n + m; ++i) {
-            Process& p =
-                sc.sys->add_process(i < n ? Role::Reader : Role::Writer);
-            DriveConfig dc;
-            dc.passages = 2;
-            dc.cs_steps = 2;
-            p.set_task(drive_passages(*lock, p, dc));
-        }
-        sc.checker =
-            std::make_unique<MutualExclusionChecker>(/*throw=*/true);
-        sc.sys->add_observer(sc.checker.get());
-        sc.lock = std::move(lock);
-        return sc;
-    };
+    DriverConfig cfg;
+    cfg.episodes = rw_episodes(
+        [](Memory& mem) { return std::make_unique<LockT>(mem); }, n, m);
+    cfg.passages = 2;
+    cfg.cs_steps = 2;
+    return driver_factory(cfg);
 }
 
 }  // namespace rwr::sim

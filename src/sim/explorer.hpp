@@ -35,7 +35,6 @@
 
 #include "sim/checker.hpp"
 #include "sim/por.hpp"
-#include "sim/rwlock.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 
@@ -45,9 +44,7 @@ namespace rwr::sim {
 /// an identical scenario every call (determinism is what makes replay work).
 struct Scenario {
     std::unique_ptr<System> sys;
-    std::unique_ptr<SimRWLock> lock;
-    std::unique_ptr<MutualExclusionChecker> checker;
-    /// Keeps auxiliary objects (per-process record vectors, ...) alive.
+    /// Keeps everything else the run needs alive (lock, checkers, ...).
     std::shared_ptr<void> extra;
     /// Partial-order reduction is only sound when every observer of the run
     /// is insensitive to the order of independent steps. Factories must

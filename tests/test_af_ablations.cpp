@@ -9,6 +9,7 @@
 #include "core/af_ablations.hpp"
 #include "core/af_lock_sim.hpp"
 #include "sim/checker.hpp"
+#include "sim/driver.hpp"
 #include "sim/explorer.hpp"
 #include "sim/scheduler.hpp"
 
@@ -21,31 +22,16 @@ using sim::Role;
 sim::ScenarioFactory ablated_factory(AfAblation ablation, std::uint32_t n,
                                      std::uint32_t m, std::uint32_t f,
                                      std::uint64_t passages) {
-    return [=]() {
-        sim::Scenario sc;
-        sc.sys = std::make_unique<sim::System>(Protocol::WriteBack);
-        AfParams params{.n = n, .m = m, .f = f};
-        auto lock = std::make_unique<AblatedAfSimLock>(sc.sys->memory(),
-                                                       params, ablation);
-        for (std::uint32_t r = 0; r < n; ++r) {
-            Process& p = sc.sys->add_process(Role::Reader);
-            sim::DriveConfig dc;
-            dc.passages = passages;
-            dc.cs_steps = 2;
-            p.set_task(sim::drive_passages(*lock, p, dc));
-        }
-        for (std::uint32_t w = 0; w < m; ++w) {
-            Process& p = sc.sys->add_process(Role::Writer);
-            sim::DriveConfig dc;
-            dc.passages = passages;
-            dc.cs_steps = 2;
-            p.set_task(sim::drive_passages(*lock, p, dc));
-        }
-        sc.checker = std::make_unique<sim::MutualExclusionChecker>(true);
-        sc.sys->add_observer(sc.checker.get());
-        sc.lock = std::move(lock);
-        return sc;
-    };
+    sim::DriverConfig cfg;
+    cfg.episodes = sim::rw_episodes(
+        [=](Memory& mem) {
+            return std::make_unique<AblatedAfSimLock>(
+                mem, AfParams{.n = n, .m = m, .f = f}, ablation);
+        },
+        n, m);
+    cfg.passages = passages;
+    cfg.cs_steps = 2;
+    return sim::driver_factory(cfg);
 }
 
 TEST(AfAblations, NoExitHelpDeadlocksTheWriter) {

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "sim/checker.hpp"
+#include "sim/driver.hpp"
 #include "sim/explorer.hpp"
 #include "sim/rwlock.hpp"
 #include "sim/scheduler.hpp"
@@ -101,30 +102,12 @@ class TocTouLock final : public SimRWLock {
 
 template <typename LockT>
 ScenarioFactory broken_factory(std::uint32_t n, std::uint32_t m) {
-    return [n, m]() {
-        Scenario sc;
-        sc.sys = std::make_unique<System>(Protocol::WriteBack);
-        auto lock = std::make_unique<LockT>(sc.sys->memory());
-        for (std::uint32_t r = 0; r < n; ++r) {
-            Process& p = sc.sys->add_process(Role::Reader);
-            DriveConfig dc;
-            dc.passages = 2;
-            dc.cs_steps = 2;
-            p.set_task(drive_passages(*lock, p, dc));
-        }
-        for (std::uint32_t w = 0; w < m; ++w) {
-            Process& p = sc.sys->add_process(Role::Writer);
-            DriveConfig dc;
-            dc.passages = 2;
-            dc.cs_steps = 2;
-            p.set_task(drive_passages(*lock, p, dc));
-        }
-        sc.checker =
-            std::make_unique<MutualExclusionChecker>(/*throw=*/true);
-        sc.sys->add_observer(sc.checker.get());
-        sc.lock = std::move(lock);
-        return sc;
-    };
+    DriverConfig cfg;
+    cfg.episodes = rw_episodes(
+        [](Memory& mem) { return std::make_unique<LockT>(mem); }, n, m);
+    cfg.passages = 2;
+    cfg.cs_steps = 2;
+    return driver_factory(cfg);
 }
 
 TEST(CheckerTeeth, ExplorerFindsTheNoWaitBug) {
