@@ -65,6 +65,17 @@ BENCHMARK(af_writer_passage)
     ->Args({4096, 1})
     ->Args({4096, 4096});
 
+// Construction (and destruction) of AfLock(1024, 3, f): the set-up cost
+// perfbench reports as setup_s, at its n and m across the f range.
+void af_lock_construct(benchmark::State& state) {
+    const auto f = static_cast<std::uint32_t>(state.range(0));
+    for (auto _ : state) {
+        AfLock lock(1024, 3, f);
+        benchmark::DoNotOptimize(&lock);
+    }
+}
+BENCHMARK(af_lock_construct)->Arg(1)->Arg(4)->Arg(32)->Arg(256)->Arg(1024);
+
 void centralized_reader_passage(benchmark::State& state) {
     CentralizedRWLock lock;
     for (auto _ : state) {

@@ -76,36 +76,26 @@ class AfLock {
     explicit AfLock(std::uint32_t n, std::uint32_t m, std::uint32_t f,
                     AfParams params = {})
         : n_(n), m_(m), f_(validated_f(n, m, f)), k_((n + f_ - 1) / f_),
-          params_(params), wl_(m) {
-        const std::uint32_t groups = (n + k_ - 1) / k_;
-        for (std::uint32_t i = 0; i < groups; ++i) {
-            c_.push_back(std::make_unique<FArrayCounter>(k_));
-            w_.push_back(std::make_unique<FArrayCounter>(k_));
-        }
-        wsig_ = std::make_unique<Signal[]>(groups);
-        groups_ = groups;
+          groups_((n + k_ - 1) / k_), tree_nodes_(farray_nodes(k_)),
+          params_(params), wl_(m),
+          trees_(std::make_unique<FArrayNode[]>(std::size_t{2} * groups_ *
+                                                tree_nodes_)),
+          wsig_(std::make_unique<Signal[]>(groups_)) {
         if (params_.group_map == AfParams::GroupMap::kTopology) {
             assign_ = std::make_unique<std::atomic<std::uint64_t>[]>(n_);
-            const std::uint32_t domains =
-                topo::system_topology().num_domains;
-            group_domain_.resize(groups_);
-            free_slots_.resize(groups_);
+            domains_ = topo::system_topology().num_domains;
+            // Every group starts with all k slots free, slot 0 on top.
+            free_slots_.resize(std::size_t{groups_} * k_);
+            free_count_.assign(groups_, k_);
             for (std::uint32_t g = 0; g < groups_; ++g) {
-                // Groups are spread across domains round-robin; a reader
-                // in domain d prefers the groups homed there.
-                group_domain_[g] = g % domains;
-                free_slots_[g].reserve(k_);
-                for (std::uint32_t s = k_; s-- > 0;) {
-                    free_slots_[g].push_back(s);
+                for (std::uint32_t j = 0; j < k_; ++j) {
+                    free_slots_[std::size_t{g} * k_ + j] = k_ - 1 - j;
                 }
             }
         }
-        RWR_TELEM(reader_retry_ = std::make_unique<TelemetryFlag[]>(n_);
-                  writer_retry_ = std::make_unique<TelemetryFlag[]>(m_);)
-#if RWR_AF_MISUSE_CHECKS
-        reader_busy_ = std::make_unique<PaddedFlag[]>(n_);
-        writer_busy_ = std::make_unique<PaddedFlag[]>(m_);
-#endif
+        if (kIdLines) {
+            ids_ = std::make_unique<IdLine[]>(std::size_t{n_} + m_);
+        }
     }
 
     /// Attach a telemetry sink (nullptr detaches). Not thread-safe against
@@ -138,7 +128,7 @@ class AfLock {
         check_reader(reader_id);
         reader_acquire_guard(reader_id);
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderEntry);
-                  if (telemetry_ && reader_retry_[reader_id].v.exchange(
+                  if (telemetry_ && ids_[reader_id].retry.exchange(
                                         0, std::memory_order_relaxed) != 0) {
                       telemetry_->count(TelemetryCounter::kReaderAbortRetry);
                   })
@@ -146,7 +136,7 @@ class AfLock {
         const std::uint32_t g = p.group;
         const std::uint32_t slot = p.slot;
 
-        c_[g]->add(slot, +1);                       // Line 31.
+        c(g).add(slot, +1);                         // Line 31.
         const std::uint64_t sig = rsig_.load();     // Line 32.
         if (rs_op(sig) != kRsWait) {                // Line 33.
             RWR_TELEM(if (telemetry_) {
@@ -157,13 +147,13 @@ class AfLock {
         }
         const std::uint64_t seq = sig_seq(sig);
         if (!deadline.is_immediate()) {
-            w_[g]->add(slot, +1);                   // Line 34.
+            w(g).add(slot, +1);                     // Line 34.
             help_wcs(g, seq);                       // Line 35.
             Backoff backoff;
             const bool acquired =                   // Line 36 (parked).
                 wait_until(rsig_spot_, deadline, RWR_TELEM_PTR(telemetry_),
                            backoff, [&] { return rsig_.load() != sig; });
-            w_[g]->add(slot, -1);                   // Line 37.
+            w(g).add(slot, -1);                     // Line 37.
             RWR_TELEM(if (telemetry_) {
                 telemetry_->count(TelemetryCounter::kReaderContended);
                 telemetry_->note_backoff(backoff);
@@ -184,7 +174,7 @@ class AfLock {
         reader_release_guard(reader_id);
         RWR_TELEM(if (telemetry_) {
             telemetry_->count(TelemetryCounter::kReaderAbort);
-            reader_retry_[reader_id].v.store(1, std::memory_order_relaxed);
+            ids_[reader_id].retry.store(1, std::memory_order_relaxed);
             sw.stop_into(TelemetryHisto::kAbortLatency);
         })
         return false;
@@ -222,7 +212,7 @@ class AfLock {
         writer_acquire_guard(writer_id);
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kWriterEntry);
                   bool contended = false;
-                  if (telemetry_ && writer_retry_[writer_id].v.exchange(
+                  if (telemetry_ && writer_line(writer_id).retry.exchange(
                                         0, std::memory_order_relaxed) != 0) {
                       telemetry_->count(TelemetryCounter::kWriterAbortRetry);
                   })
@@ -230,7 +220,7 @@ class AfLock {
             writer_release_guard(writer_id);
             RWR_TELEM(if (telemetry_) {
                 telemetry_->count(TelemetryCounter::kWriterAbort);
-                writer_retry_[writer_id].v.store(1, std::memory_order_relaxed);
+                writer_line(writer_id).retry.store(1, std::memory_order_relaxed);
                 sw.stop_into(TelemetryHisto::kAbortLatency);
             })
             return false;
@@ -245,7 +235,7 @@ class AfLock {
         rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
 
         for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 12-17.
-            if (c_[i]->read() > 0) {                   // Line 13.
+            if (c(i).read() > 0) {                     // Line 13.
                 Backoff backoff;
                 RWR_TELEM(contended = true;)
                 const bool ok = wait_until(       // Line 14 (parked).
@@ -257,7 +247,7 @@ class AfLock {
                 if (!ok) {
                     RWR_TELEM(if (telemetry_) {
                         telemetry_->count(TelemetryCounter::kWriterAbort);
-                        writer_retry_[writer_id].v.store(
+                        writer_line(writer_id).retry.store(
                             1, std::memory_order_relaxed);
                         sw.stop_into(TelemetryHisto::kAbortLatency);
                     })
@@ -272,7 +262,7 @@ class AfLock {
         rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
 
         for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 19-23.
-            if (c_[i]->read() != 0) {                  // Line 20.
+            if (c(i).read() != 0) {                    // Line 20.
                 Backoff backoff;
                 RWR_TELEM(contended = true;)
                 const bool ok = wait_until(       // Line 21 (parked).
@@ -284,7 +274,7 @@ class AfLock {
                 if (!ok) {
                     RWR_TELEM(if (telemetry_) {
                         telemetry_->count(TelemetryCounter::kWriterAbort);
-                        writer_retry_[writer_id].v.store(
+                        writer_line(writer_id).retry.store(
                             1, std::memory_order_relaxed);
                         sw.stop_into(TelemetryHisto::kAbortLatency);
                     })
@@ -340,14 +330,39 @@ class AfLock {
                   "one WSIG per cache line: adjacent groups' signals are "
                   "written by the writer and CASed by different readers");
 
-    /// One-byte guard flag padded to a full line: the busy flags are
-    /// exchanged on every acquire/release by different threads, so packing
-    /// 64 of them per line would bounce that line across every core.
-    struct alignas(64) PaddedFlag {
-        std::atomic<std::uint8_t> v{0};
+    /// The per-id state, padded to a full line. Both flags are touched on
+    /// every attempt, and only by the thread that holds the id, so they
+    /// share a line with each other but never with another id's: packing
+    /// ids per line would bounce that line across every core.
+    struct alignas(64) IdLine {
+#if RWR_AF_MISUSE_CHECKS
+        /// Set while the id is in an acquisition or a passage.
+        std::atomic<std::uint8_t> busy{0};
+#endif
+#if RWR_TELEMETRY
+        /// "Last attempt aborted", behind the *_abort_retries counters: an
+        /// attempt that finds it set is a retry (it is cleared on every
+        /// attempt and re-set on every abort, so the counts are exact).
+        std::atomic<std::uint8_t> retry{0};
+#endif
     };
-    static_assert(sizeof(PaddedFlag) == 64 && alignof(PaddedFlag) == 64,
-                  "misuse-check guards must not share cache lines");
+    static_assert(sizeof(IdLine) == 64 && alignof(IdLine) == 64,
+                  "per-id guards must not share cache lines");
+
+    /// Whether IdLine holds anything; ids_ stays null if not.
+    static constexpr bool kIdLines = RWR_AF_MISUSE_CHECKS || RWR_TELEMETRY;
+
+    IdLine& writer_line(std::uint32_t writer_id) {
+        return ids_[std::size_t{n_} + writer_id];
+    }
+
+    /// Views of group g's trees in trees_.
+    [[nodiscard]] FArrayTree c(std::uint32_t g) const {
+        return {&trees_[std::size_t{g} * tree_nodes_], k_};
+    }
+    [[nodiscard]] FArrayTree w(std::uint32_t g) const {
+        return {&trees_[(std::size_t{groups_} + g) * tree_nodes_], k_};
+    }
 
     // Opcode encodings (see core/signals.hpp for the simulated twin).
     static constexpr std::uint64_t kRsNop = 0, kRsPreEntry = 1, kRsWait = 2;
@@ -363,11 +378,11 @@ class AfLock {
     /// Exit section, lines 40-48: shared by unlock_shared and the reader
     /// abort path (which must discharge the same signalling obligations).
     void shared_exit_section(std::uint32_t g, std::uint32_t slot) {
-        c_[g]->add(slot, -1);                    // Line 40.
+        c(g).add(slot, -1);                      // Line 40.
         const std::uint64_t sig = rsig_.load();  // Line 41.
         const std::uint64_t seq = sig_seq(sig);
         if (rs_op(sig) == kRsPreEntry) {         // Line 42.
-            if (c_[g]->read() == 0) {            // Line 43.
+            if (c(g).read() == 0) {              // Line 43.
                 std::uint64_t expected = pack(seq, kWsBot);
                 if (wsig_[g].word.compare_exchange_strong(
                         expected, pack(seq, kWsProceed))) {  // Line 45.
@@ -397,9 +412,9 @@ class AfLock {
     }
 
     void help_wcs(std::uint32_t g, std::uint64_t seq) {  // Lines 50-54.
-        const std::int64_t c = c_[g]->read();
-        const std::int64_t w = w_[g]->read();
-        if (c == w) {
+        const std::int64_t c_sum = c(g).read();  // C before W.
+        const std::int64_t w_sum = w(g).read();
+        if (c_sum == w_sum) {
             std::uint64_t expected = pack(seq, kWsWait);
             if (wsig_[g].word.compare_exchange_strong(expected,
                                                       pack(seq, kWsCs))) {
@@ -411,7 +426,7 @@ class AfLock {
     // ---- Reader placement (group map policies) -------------------------
     //
     // The writer protocol only requires that the id -> (group, slot) map is
-    // injective while an id is between entry and exit (each FArrayCounter
+    // injective while an id is between entry and exit (each f-array tree
     // slot has one concurrent writer); *which* group a reader lands in is a
     // free choice. kTopology exploits that freedom: counters are updated
     // domain-locally, and a migrated reader is re-homed between passages
@@ -486,25 +501,27 @@ class AfLock {
             if (assign_domain(cur) == d) {
                 return {assign_group(cur), assign_slot(cur)};
             }
-            free_slots_[assign_group(cur)].push_back(assign_slot(cur));
+            const std::uint32_t from = assign_group(cur);
+            free_slots_[std::size_t{from} * k_ + free_count_[from]++] =
+                assign_slot(cur);
         }
         std::uint32_t pick = groups_;
         for (std::uint32_t g = 0; g < groups_; ++g) {
-            if (group_domain_[g] == d && !free_slots_[g].empty()) {
+            if (g % domains_ == d && free_count_[g] != 0) {
                 pick = g;
                 break;
             }
         }
         if (pick == groups_) {
             for (std::uint32_t g = 0; g < groups_; ++g) {
-                if (!free_slots_[g].empty()) {
+                if (free_count_[g] != 0) {
                     pick = g;
                     break;
                 }
             }
         }
-        const std::uint32_t slot = free_slots_[pick].back();
-        free_slots_[pick].pop_back();
+        const std::uint32_t slot =
+            free_slots_[std::size_t{pick} * k_ + --free_count_[pick]];
         assign_[id].store(pack_assign(d, pick, slot));
         return {pick, slot};
     }
@@ -531,28 +548,28 @@ class AfLock {
     // ---- Misuse detection (compiled out with RWR_AF_MISUSE_CHECKS=0) ----
 #if RWR_AF_MISUSE_CHECKS
     void reader_acquire_guard(std::uint32_t id) {
-        if (reader_busy_[id].v.exchange(1) != 0) {
+        if (ids_[id].busy.exchange(1) != 0) {
             throw std::logic_error(
                 "AfLock: reader id already in an acquisition or passage "
                 "(concurrent id reuse or recursive lock_shared)");
         }
     }
     void reader_release_guard(std::uint32_t id) {
-        if (reader_busy_[id].v.exchange(0) == 0) {
+        if (ids_[id].busy.exchange(0) == 0) {
             throw std::logic_error(
                 "AfLock: unlock_shared without matching lock_shared "
                 "(double release would drive C[i] negative)");
         }
     }
     void writer_acquire_guard(std::uint32_t id) {
-        if (writer_busy_[id].v.exchange(1) != 0) {
+        if (writer_line(id).busy.exchange(1) != 0) {
             throw std::logic_error(
                 "AfLock: writer id already in an acquisition or passage "
                 "(concurrent id reuse or recursive lock)");
         }
     }
     void writer_release_guard(std::uint32_t id) {
-        if (writer_busy_[id].v.exchange(0) == 0) {
+        if (writer_line(id).busy.exchange(0) == 0) {
             throw std::logic_error(
                 "AfLock: unlock without matching lock");
         }
@@ -575,38 +592,37 @@ class AfLock {
     void check_wl_held(std::uint32_t) const {}
 #endif
 
-    std::uint32_t n_, m_, f_, k_, groups_ = 0;
+    std::uint32_t n_, m_, f_, k_, groups_;
+    std::uint32_t tree_nodes_;  // farray_nodes(k_): the stride of trees_.
     AfParams params_;
-    // c_/w_ hold cold unique_ptrs; the FArrayCounter nodes themselves are
-    // heap-allocated with one alignas(64) node per line (counter.hpp).
-    std::vector<std::unique_ptr<FArrayCounter>> c_;
-    std::vector<std::unique_ptr<FArrayCounter>> w_;
     TournamentMutex wl_;
+    // All 2·groups f-array trees in one block, one node per line: C[g] is
+    // tree g and W[g] is tree groups + g, so node i of tree t sits at
+    // t·tree_nodes_ + i and every root is one indexed load.
+    std::unique_ptr<FArrayNode[]> trees_;
     std::unique_ptr<Signal[]> wsig_;
     // Topology-mode placement state (null/empty under kRoundRobin). The
-    // packed assignment words are the hot lookup; the free lists and map
-    // are cold, touched only under assign_mu_.
+    // packed assignment words are the hot lookup; the free-slot stacks
+    // (group g's stack is free_slots_[g·k, g·k + free_count_[g])) are
+    // cold, touched only under assign_mu_. Group g is homed in domain
+    // g % domains_: groups are spread across domains round-robin.
     std::unique_ptr<std::atomic<std::uint64_t>[]> assign_;
     std::mutex assign_mu_;
-    std::vector<std::vector<std::uint32_t>> free_slots_;
-    std::vector<std::uint32_t> group_domain_;
+    std::vector<std::uint32_t> free_slots_;
+    std::vector<std::uint32_t> free_count_;
+    std::uint32_t domains_ = 1;
     alignas(64) std::atomic<std::uint64_t> wseq_{0};
     alignas(64) std::atomic<std::uint64_t> rsig_{0};  // pack(0, kRsNop).
     /// Readers parked at line 36 wait here; every rsig_ store wakes it.
     alignas(64) ParkingSpot rsig_spot_;
 #if RWR_TELEMETRY
     LockTelemetry* telemetry_ = nullptr;
-    /// Per-id "last attempt aborted" flags behind the *_abort_retries
-    /// counters: an attempt that finds its id's flag set is a retry (the
-    /// flag is cleared on every attempt and re-set on every abort, so the
-    /// counts are exact, not sampled).
-    std::unique_ptr<TelemetryFlag[]> reader_retry_;
-    std::unique_ptr<TelemetryFlag[]> writer_retry_;
 #endif
+    /// One IdLine per reader id, then one per writer id (writer w at
+    /// n_ + w).
+    std::unique_ptr<IdLine[]> ids_;
 #if RWR_AF_MISUSE_CHECKS
     static constexpr std::uint32_t kNoHolder = 0xffffffffu;
-    std::unique_ptr<PaddedFlag[]> reader_busy_;
-    std::unique_ptr<PaddedFlag[]> writer_busy_;
     alignas(64) mutable std::atomic<std::uint32_t> wl_holder_{kNoHolder};
 #endif
 };

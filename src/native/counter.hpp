@@ -5,6 +5,10 @@
 // refresh every ancestor (read node, read children, CAS <version+1, sum>).
 // Wait-free, Θ(log K) steps. read(): one load of the root.
 //
+// The algorithm lives once, in FArrayTree, a non-owning view of one tree's
+// nodes. FArrayCounter owns the nodes of a single tree; AfLock lays all of
+// its 2·groups trees out in one block and views each by index.
+//
 // Memory ordering: all operations use sequential consistency. These
 // algorithms (and the paper's model) assume an SC memory system; on x86 the
 // cost difference is confined to the stores, and correctness under weaker
@@ -16,24 +20,36 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
-#include <vector>
 
 namespace rwr::native {
 
-class FArrayCounter {
+/// One tree node per cache line. Value-initialisation zeroes the word
+/// (version 0, value 0), so a fresh node array is an all-zero tree.
+struct alignas(64) FArrayNode {
+    std::atomic<std::uint64_t> word{0};
+};
+static_assert(sizeof(FArrayNode) == 64 && alignof(FArrayNode) == 64,
+              "one tree node per cache line: leaves are single-writer "
+              "hot words and internal nodes are CASed by all slots; "
+              "packing them would false-share every add()");
+
+/// Leaves of a tree over `capacity` slots: the next power of two.
+constexpr std::uint32_t farray_leaves(std::uint32_t capacity) {
+    return capacity <= 1 ? 1 : std::bit_ceil(capacity);
+}
+
+/// Nodes of a tree over `capacity` slots, in heap order: internal nodes
+/// [0, leaves-1), then the leaves; node 0 is the root.
+constexpr std::uint32_t farray_nodes(std::uint32_t capacity) {
+    return 2 * farray_leaves(capacity) - 1;
+}
+
+/// The f-array algorithm over farray_nodes(capacity) zeroed nodes it does
+/// not own. Copying the view shares the tree.
+class FArrayTree {
    public:
-    explicit FArrayCounter(std::uint32_t capacity)
-        : capacity_(capacity),
-          num_leaves_(capacity <= 1 ? 1 : std::bit_ceil(capacity)),
-          num_internal_(num_leaves_ - 1),
-          nodes_(std::make_unique<Node[]>(num_internal_ + num_leaves_)) {
-        if (capacity == 0) {
-            throw std::invalid_argument("FArrayCounter: capacity must be >= 1");
-        }
-        for (std::uint32_t i = 0; i < num_internal_ + num_leaves_; ++i) {
-            nodes_[i].word.store(0, std::memory_order_relaxed);
-        }
-    }
+    FArrayTree(FArrayNode* nodes, std::uint32_t capacity)
+        : nodes_(nodes), num_internal_(farray_leaves(capacity) - 1) {}
 
     /// Adds `delta` on behalf of `slot` (< capacity; one concurrent caller
     /// per slot).
@@ -63,17 +79,7 @@ class FArrayCounter {
         return value_of(nodes_[0].word.load());
     }
 
-    [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
-
    private:
-    struct alignas(64) Node {
-        std::atomic<std::uint64_t> word;
-    };
-    static_assert(sizeof(Node) == 64 && alignof(Node) == 64,
-                  "one tree node per cache line: leaves are single-writer "
-                  "hot words and internal nodes are CASed by all slots; "
-                  "packing them would false-share every add()");
-
     static constexpr std::uint64_t pack(std::uint32_t version,
                                         std::int32_t value) {
         return (static_cast<std::uint64_t>(version) << 32) |
@@ -96,10 +102,35 @@ class FArrayCounter {
         return nodes_[u].word.compare_exchange_strong(old, desired);
     }
 
-    std::uint32_t capacity_;
-    std::uint32_t num_leaves_;
+    FArrayNode* nodes_;
     std::uint32_t num_internal_;
-    std::unique_ptr<Node[]> nodes_;
+};
+
+/// A standalone counter: one tree in a node array of its own.
+class FArrayCounter {
+   public:
+    explicit FArrayCounter(std::uint32_t capacity)
+        : capacity_(validated(capacity)),
+          nodes_(std::make_unique<FArrayNode[]>(farray_nodes(capacity))),
+          tree_(nodes_.get(), capacity) {}
+
+    void add(std::uint32_t slot, std::int64_t delta) { tree_.add(slot, delta); }
+
+    [[nodiscard]] std::int64_t read() const { return tree_.read(); }
+
+    [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
+
+   private:
+    static std::uint32_t validated(std::uint32_t capacity) {
+        if (capacity == 0) {
+            throw std::invalid_argument("FArrayCounter: capacity must be >= 1");
+        }
+        return capacity;
+    }
+
+    std::uint32_t capacity_;
+    std::unique_ptr<FArrayNode[]> nodes_;
+    FArrayTree tree_;
 };
 
 }  // namespace rwr::native

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <memory>
+#include <vector>
 
 #include "core/af_lock_sim.hpp"
 #include "harness/locks.hpp"
@@ -74,9 +75,6 @@ class AfSweep : public ::testing::TestWithParam<
 
 TEST_P(AfSweep, MutualExclusionAndProgress) {
     const auto [proto, n, m, f, seed] = GetParam();
-    if (f > n) {
-        GTEST_SKIP() << "f > n is not a valid parameterization";
-    }
     sim::DriverConfig cfg;
     cfg.episodes =
         harness::lock_episodes({.lock = LockKind::Af, .n = n, .m = m, .f = f});
@@ -91,14 +89,27 @@ TEST_P(AfSweep, MutualExclusionAndProgress) {
     EXPECT_EQ(res.writers.num_passages, static_cast<std::uint64_t>(m) * 4);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, AfSweep,
-    ::testing::Combine(::testing::Values(Protocol::WriteThrough,
-                                         Protocol::WriteBack),
-                       ::testing::Values(1u, 2u, 5u, 8u),
-                       ::testing::Values(1u, 2u, 3u),
-                       ::testing::Values(1u, 2u, 4u, 8u),
-                       ::testing::Range<std::uint64_t>(0, 4)));
+/// Every (protocol, n, m, f, seed) cell of the grid with a valid f <= n.
+std::vector<AfSweep::ParamType> af_sweep_cells() {
+    std::vector<AfSweep::ParamType> cells;
+    for (const Protocol proto : {Protocol::WriteThrough, Protocol::WriteBack}) {
+        for (const std::uint32_t n : {1u, 2u, 5u, 8u}) {
+            for (const std::uint32_t m : {1u, 2u, 3u}) {
+                for (const std::uint32_t f : {1u, 2u, 4u, 8u}) {
+                    if (f > n) {
+                        continue;
+                    }
+                    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+                        cells.emplace_back(proto, n, m, f, seed);
+                    }
+                }
+            }
+        }
+    }
+    return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, AfSweep, ::testing::ValuesIn(af_sweep_cells()));
 
 TEST(AfLock, ExhaustiveSmallSchedules_N2M1F1) {
     sim::DriverConfig cfg;

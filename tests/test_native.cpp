@@ -210,19 +210,36 @@ class NativeAfStress
 
 TEST_P(NativeAfStress, MutualExclusionInvariants) {
     const auto [n, m, f] = GetParam();
-    if (f > n) {
-        GTEST_SKIP();
-    }
     AfLock lock(n, m, f);
     RwInvariants inv;
     stress_rw(lock, n, m, 800, &inv);
     EXPECT_FALSE(inv.violated.load());
 }
 
+/// Every (n, m, f) cell of the grid with a valid f <= n, then the shapes
+/// that stress the tree layout: K = 1 with many groups (every leaf is a
+/// root), a K that is not a power of two (n = 12, f = 4: K = 3, so each
+/// tree has a padding leaf), and fewer groups than f (n = 10, f = 6: K = 2,
+/// 5 groups).
+std::vector<NativeAfStress::ParamType> native_af_cells() {
+    std::vector<NativeAfStress::ParamType> cells;
+    for (const std::uint32_t n : {2u, 4u}) {
+        for (const std::uint32_t m : {1u, 2u}) {
+            for (const std::uint32_t f : {1u, 2u, 4u}) {
+                if (f <= n) {
+                    cells.emplace_back(n, m, f);
+                }
+            }
+        }
+    }
+    cells.emplace_back(8u, 2u, 8u);
+    cells.emplace_back(12u, 2u, 4u);
+    cells.emplace_back(10u, 2u, 6u);
+    return cells;
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, NativeAfStress,
-                         ::testing::Combine(::testing::Values(2u, 4u),
-                                            ::testing::Values(1u, 2u),
-                                            ::testing::Values(1u, 2u, 4u)));
+                         ::testing::ValuesIn(native_af_cells()));
 
 TEST(NativeAfLock, ArgumentValidation) {
     EXPECT_THROW(AfLock(4, 1, 0), std::invalid_argument);
