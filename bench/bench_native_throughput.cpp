@@ -11,10 +11,11 @@
 //     root is this file's checked-in trajectory baseline; regenerate with
 //     `bench_native_throughput --json BENCH_native.json`.
 //
-// CAVEAT (EXPERIMENTS.md): this host may expose a single core; numbers here
-// are indicative of instruction-path cost, not of the RMR behaviour the
-// paper is about (the simulator benches carry the reproduction). Thread
-// counts stay small on purpose.
+// CAVEAT (EXPERIMENTS.md): the recorded numbers come from a 4-vCPU host
+// (BENCH_native.json from an earlier 1-core one); they are indicative of
+// instruction-path and cache-line cost, not of the RMR behaviour the paper
+// is about (the simulator benches carry the reproduction). Thread counts
+// stay small on purpose.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -62,6 +63,7 @@ void af_writer_passage(benchmark::State& state) {
 BENCHMARK(af_writer_passage)
     ->Args({64, 1})
     ->Args({64, 64})
+    ->Args({1024, 256})  // perfbench af-write's shape, solo.
     ->Args({4096, 1})
     ->Args({4096, 4096});
 

@@ -15,8 +15,9 @@
 //     otherwise let a regression hide by deleting its row -- so missing
 //     rows are a HARD comparison failure (DiffReport::ok() is false), not
 //     an informational note;
-//   * missing metrics -- numeric leaves of a baseline row (e.g.
-//     "proc_rmr.writer_total_max") absent from its joined new row. Same
+//   * missing metrics -- numeric and string leaves of a baseline row (e.g.
+//     "proc_rmr.writer_total_max", "adversary.worst_schedule") absent
+//     from its joined new row, or held there as another type. Same
 //     reasoning, one level down: a metric the new binary stopped emitting
 //     cannot regress, so it is a HARD failure too;
 //   * added      -- rows only the new run has (informational: new coverage
@@ -56,8 +57,8 @@ struct DiffReport {
     std::size_t joined = 0;
     std::vector<DiffFlag> regressions;
     std::vector<std::string> missing;  ///< Baseline rows the new run lacks.
-    /// "<row key> <dotted metric path>" per baseline numeric leaf the joined
-    /// new row lacks.
+    /// "<row key> <dotted metric path>" per baseline numeric or string leaf
+    /// the joined new row lacks.
     std::vector<std::string> missing_metrics;
     std::vector<std::string> added;    ///< New rows the baseline lacks.
 
@@ -110,8 +111,10 @@ inline void diff_metric(const std::string& key, const char* metric,
     }
 }
 
-/// Appends every numeric leaf under `old_obj` that `new_obj` lacks (or
-/// holds as a non-number), as "<key> <path>".
+/// Appends every numeric or string leaf under `old_obj` that `new_obj`
+/// lacks (or holds as another type), as "<key> <path>". A number may be
+/// re-typed to another number (an integer count written as a double);
+/// a string must stay a string.
 inline void collect_missing_metrics(const std::string& key,
                                     const std::string& path,
                                     const json::Value& old_obj,
@@ -127,6 +130,9 @@ inline void collect_missing_metrics(const std::string& key,
             collect_missing_metrics(key, leaf, ov, nested ? nv : nullptr,
                                     out);
         } else if (ov.is_number() && (nv == nullptr || !nv->is_number())) {
+            out->push_back(key + " " + leaf);
+        } else if (ov.type() == json::Value::Type::String &&
+                   (nv == nullptr || nv->type() != json::Value::Type::String)) {
             out->push_back(key + " " + leaf);
         }
     }

@@ -1,7 +1,7 @@
 // Native (std::atomic) implementation of the paper's Algorithm 1 -- the
 // A_f reader-writer lock family. Mirrors core/af_lock_sim.cpp line for
-// line; see that file and the paper's Section 4 for the protocol
-// walkthrough.
+// line, except that help_wcs reads W before C (see there); see that file
+// and the paper's Section 4 for the protocol walkthrough.
 //
 // Identity model: reader ids in [0, n), writer ids in [0, m), passed to
 // every call; one id must never be used by two threads concurrently. For an
@@ -11,6 +11,12 @@
 // Freedom, Concurrent Entering, no reader starvation. Writers can starve
 // under a continuous reader flood. RMR complexity: writers Θ(f + log m),
 // readers Θ(log(n/f)) per passage in the CC model.
+//
+// Memory ordering: every atomic operation is seq_cst (the paper's model,
+// and what the f-array and A_f proofs assume) except the writer's line-16
+// store WSIG[i] := <seq, WAIT>, which is a release store; the argument
+// that the protocol keeps its guarantees sits beside that store and in
+// DESIGN.md §7.
 //
 // Abortability: try_lock(_shared) and try_lock(_shared)_for let a caller
 // give up on a blocked acquisition. An aborting participant rolls back
@@ -210,8 +216,9 @@ class AfLock {
     bool lock_until(std::uint32_t writer_id, Deadline deadline) {
         check_writer(writer_id);
         writer_acquire_guard(writer_id);
-        RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kWriterEntry);
-                  bool contended = false;
+        TelemetryStopwatch sw(RWR_TELEM_PTR(telemetry_),
+                              TelemetryHisto::kWriterEntry);
+        RWR_TELEM(bool contended = false;
                   if (telemetry_ && writer_line(writer_id).retry.exchange(
                                         0, std::memory_order_relaxed) != 0) {
                       telemetry_->count(TelemetryCounter::kWriterAbortRetry);
@@ -228,57 +235,53 @@ class AfLock {
         const std::uint64_t seq = wseq_.load();  // Stable: we hold WL.
         note_wl_held(writer_id);
 
-        for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 7-9.
-            wsig_[i].word.store(pack(seq, kWsBot));
+        // The handshake runs on locals: every seq_cst access below is a
+        // compiler barrier, so a member read through `this` would be
+        // reloaded after each one.
+        const std::uint32_t groups = groups_;
+        Signal* const wsig = wsig_.get();
+        FArrayNode* const c_roots = trees_.get();  // C[i] at i * stride.
+        const std::size_t stride = tree_nodes_;
+        const std::uint32_t k = k_;
+        const auto c_read = [c_roots, stride, k](std::uint32_t i) {
+            return FArrayTree(&c_roots[i * stride], k).read();
+        };
+
+        for (std::uint32_t i = 0; i < groups; ++i) {  // Lines 7-9.
+            wsig[i].word.store(pack(seq, kWsBot));
         }
         rsig_.store(pack(seq, kRsPreEntry));  // Line 11.
         rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
 
-        for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 12-17.
-            if (c(i).read() > 0) {                     // Line 13.
-                Backoff backoff;
+        for (std::uint32_t i = 0; i < groups; ++i) {  // Lines 12-17.
+            if (c_read(i) > 0) {  // Line 13.
                 RWR_TELEM(contended = true;)
-                const bool ok = wait_until(       // Line 14 (parked).
-                    wsig_[i].spot, deadline, RWR_TELEM_PTR(telemetry_),
-                    backoff, [&] {
-                        return wsig_[i].word.load() == pack(seq, kWsProceed);
-                    });
-                RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
-                if (!ok) {
-                    RWR_TELEM(if (telemetry_) {
-                        telemetry_->count(TelemetryCounter::kWriterAbort);
-                        writer_line(writer_id).retry.store(
-                            1, std::memory_order_relaxed);
-                        sw.stop_into(TelemetryHisto::kAbortLatency);
-                    })
-                    abort_writer_entry(writer_id, seq);
+                if (!await_wsig(wsig[i], pack(seq, kWsProceed),  // Line 14.
+                                writer_id, seq, deadline, sw)) {
                     return false;
                 }
             }
-            wsig_[i].word.store(pack(seq, kWsWait));  // Line 16.
+            // Line 16, the one store of the lock that is not seq_cst. A
+            // reader acts on WAIT only through help_wcs's CAS, which it
+            // runs after a seq_cst load of RSIG returns <seq, WAIT>; line
+            // 18 stores that value after every line-16 store in program
+            // order, so each line-16 store happens-before the CAS. The
+            // only other reader access to WSIG[i] in this phase is line
+            // 45's CAS, expecting <seq, BOT>: a read-modify-write, whose
+            // outcome depends only on WSIG[i]'s modification order, which
+            // the weaker order leaves alone. The Dekker pairs (lines
+            // 11/13 and 18/20 against 31/32) stay seq_cst.
+            wsig[i].word.store(pack(seq, kWsWait), std::memory_order_release);
         }
 
         rsig_.store(pack(seq, kRsWait));  // Line 18.
         rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
 
-        for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 19-23.
-            if (c(i).read() != 0) {                    // Line 20.
-                Backoff backoff;
+        for (std::uint32_t i = 0; i < groups; ++i) {  // Lines 19-23.
+            if (c_read(i) != 0) {  // Line 20.
                 RWR_TELEM(contended = true;)
-                const bool ok = wait_until(       // Line 21 (parked).
-                    wsig_[i].spot, deadline, RWR_TELEM_PTR(telemetry_),
-                    backoff, [&] {
-                        return wsig_[i].word.load() == pack(seq, kWsCs);
-                    });
-                RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
-                if (!ok) {
-                    RWR_TELEM(if (telemetry_) {
-                        telemetry_->count(TelemetryCounter::kWriterAbort);
-                        writer_line(writer_id).retry.store(
-                            1, std::memory_order_relaxed);
-                        sw.stop_into(TelemetryHisto::kAbortLatency);
-                    })
-                    abort_writer_entry(writer_id, seq);
+                if (!await_wsig(wsig[i], pack(seq, kWsCs),  // Line 21.
+                                writer_id, seq, deadline, sw)) {
                     return false;
                 }
             }
@@ -411,9 +414,40 @@ class AfLock {
         writer_release_guard(writer_id);
     }
 
-    void help_wcs(std::uint32_t g, std::uint64_t seq) {  // Lines 50-54.
-        const std::int64_t c_sum = c(g).read();  // C before W.
+    /// Lines 14 and 21: parks until `sig` holds `awaited`. On timeout it
+    /// aborts the entry (lines 25-27) and returns false.
+    bool await_wsig(Signal& sig, std::uint64_t awaited,
+                    std::uint32_t writer_id, std::uint64_t seq,
+                    Deadline& deadline, TelemetryStopwatch& sw) {
+        Backoff backoff;
+        const bool ok =
+            wait_until(sig.spot, deadline, RWR_TELEM_PTR(telemetry_), backoff,
+                       [&sig, awaited] { return sig.word.load() == awaited; });
+        RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
+        if (ok) {
+            return true;
+        }
+        RWR_TELEM(if (telemetry_) {
+            telemetry_->count(TelemetryCounter::kWriterAbort);
+            writer_line(writer_id).retry.store(1, std::memory_order_relaxed);
+            sw.stop_into(TelemetryHisto::kAbortLatency);
+        })
+        (void)sw;
+        abort_writer_entry(writer_id, seq);
+        return false;
+    }
+
+    /// Lines 50-54. W is read before C. While RSIG is <seq, WAIT>, every
+    /// reader in W is also in C and stays in W until the writer exits, so
+    /// W only grows; C equal to the earlier W then means C equalled W at
+    /// the C read, with no reader in the CS. Read C-first, a reader that
+    /// arrives between the two reads adds to both and hides a reader still
+    /// in the CS (the stress test at n = 4, f = 1 caught such overlaps).
+    /// A timed reader that aborts between the reads shrinks W and can
+    /// still hide one; see DESIGN.md §7.
+    void help_wcs(std::uint32_t g, std::uint64_t seq) {
         const std::int64_t w_sum = w(g).read();
+        const std::int64_t c_sum = c(g).read();
         if (c_sum == w_sum) {
             std::uint64_t expected = pack(seq, kWsWait);
             if (wsig_[g].word.compare_exchange_strong(expected,

@@ -150,7 +150,6 @@ class FaaRWLock {
             const std::uint64_t backout =
                 state_.fetch_sub(1);  // Signal like an exit would.
             if ((backout & kWriterBit) != 0 && (backout & kCountMask) == 1) {
-                wgate_.store(1);
                 wgate_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
             }
             RWR_TELEM(contended = true;)
@@ -174,7 +173,6 @@ class FaaRWLock {
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderExit);)
         const std::uint64_t prior = state_.fetch_sub(1);
         if ((prior & kWriterBit) != 0 && (prior & kCountMask) == 1) {
-            wgate_.store(1);
             wgate_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
         }
         RWR_TELEM(sw.stop();)
@@ -184,14 +182,18 @@ class FaaRWLock {
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kWriterEntry); bool contended = false;)
         wl_.lock(writer_id);
         rgate_.store(0);
-        wgate_.store(0);
         const std::uint64_t prior = state_.fetch_add(kWriterBit);
         if ((prior & kCountMask) != 0) {
             RWR_TELEM(contended = true;)
             Backoff backoff;
             Deadline never = Deadline::infinite();
+            // The writer waits on the count itself. Once it reads 0 with
+            // the writer bit set, no reader is inside: a later arrival
+            // sees the bit and backs out. A one-shot gate flag instead
+            // could be set late by a reader backing out of the previous
+            // passage and admit this writer beside a reader.
             wait_until(wgate_spot_, never, RWR_TELEM_PTR(telemetry_), backoff,
-                       [&] { return wgate_.load() == 1; });
+                       [&] { return (state_.load() & kCountMask) == 0; });
             RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
         }
         RWR_TELEM(if (telemetry_) {
@@ -216,8 +218,9 @@ class FaaRWLock {
     TournamentMutex wl_;
     alignas(64) std::atomic<std::uint64_t> state_{0};
     alignas(64) std::atomic<std::uint64_t> rgate_{1};
-    alignas(64) std::atomic<std::uint64_t> wgate_{0};
     alignas(64) ParkingSpot rgate_spot_;
+    /// The draining writer parks here; the reader that takes the count
+    /// to 0 under the writer bit wakes it.
     alignas(64) ParkingSpot wgate_spot_;
 #if RWR_TELEMETRY
     LockTelemetry* telemetry_ = nullptr;

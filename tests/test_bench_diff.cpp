@@ -2,8 +2,8 @@
 // on in-memory documents. The load-bearing behaviour: rows present in the
 // baseline but absent from the new run are a HARD failure (a vanished row
 // would let a regression hide by deleting its row), and so are numeric
-// metrics a joined row stopped carrying, while rows only the new run has
-// are informational.
+// and string metrics a joined row stopped carrying, while rows only the
+// new run has are informational.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -113,6 +113,46 @@ TEST(BenchDiff, MissingMetricIsAHardFailure) {
                   key + " proc_rmr.reader_total_max",
                   key + " proc_rmr.writer_total_mean",
                   key + " proc_rmr.writer_total_max"}));
+}
+
+TEST(BenchDiff, MissingOrRetypedStringIsAHardFailure) {
+    auto oldd = bench::make_doc("t");
+    auto newd = bench::make_doc("t");
+    auto old_row = make_row("af", 8, 10.0, 5.0);
+    auto adv = json::Value::object();
+    adv.set("worst_family", "single");
+    adv.set("worst_schedule", "single v0 entry s3");
+    adv.set("candidates", std::uint64_t{57});
+    old_row.set("adversary", std::move(adv));
+    results_of(oldd)->push_back(std::move(old_row));
+    // The new row keeps every number but drops one string leaf and turns
+    // the other into a number. A changed string value is not a failure:
+    // only its absence or type is.
+    auto new_row = make_row("af", 8, 10.0, 5.0);
+    auto nadv = json::Value::object();
+    nadv.set("worst_family", std::uint64_t{1});
+    nadv.set("candidates", std::uint64_t{57});
+    new_row.set("adversary", std::move(nadv));
+    results_of(newd)->push_back(std::move(new_row));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    EXPECT_FALSE(rep.ok());
+    EXPECT_TRUE(rep.missing.empty());
+    EXPECT_TRUE(rep.regressions.empty());
+    const std::string key = "t/af/write-back/n8/m1/f1/t9/w-";
+    EXPECT_EQ(rep.missing_metrics,
+              (std::vector<std::string>{key + " adversary.worst_family",
+                                        key + " adversary.worst_schedule"}));
+
+    // The same row with both strings present, one of them changed, passes.
+    auto fixed = bench::make_doc("t");
+    auto fixed_row = make_row("af", 8, 10.0, 5.0);
+    auto fadv = json::Value::object();
+    fadv.set("worst_family", "single");
+    fadv.set("worst_schedule", "single v0 entry s2");
+    fadv.set("candidates", std::uint64_t{57});
+    fixed_row.set("adversary", std::move(fadv));
+    results_of(fixed)->push_back(std::move(fixed_row));
+    EXPECT_TRUE(bench::diff(oldd, fixed, DiffOptions{}).ok());
 }
 
 TEST(BenchDiff, AddedRowsAreInformational) {

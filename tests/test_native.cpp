@@ -152,10 +152,18 @@ struct RwInvariants {
     std::atomic<std::int32_t> writers{0};
     std::atomic<bool> violated{false};
     std::atomic<std::int32_t> max_readers{0};
+    /// Plain data that only the lock orders: writers rewrite both words,
+    /// readers check that they agree. The seq_cst counters above carry
+    /// happens-before edges of their own, so each critical section touches
+    /// the payload first, before any counter operation: then only the
+    /// lock orders it, and a lock that loses that ordering shows up as a
+    /// data race under TSan even when no interleaving breaks an invariant.
+    std::int64_t payload[2] = {0, 0};
 
     void reader_cs() {
+        const bool torn = payload[0] != payload[1];
         const auto r = readers.fetch_add(1) + 1;
-        if (writers.load() != 0) {
+        if (torn || writers.load() != 0) {
             violated.store(true);
         }
         auto mr = max_readers.load();
@@ -165,6 +173,8 @@ struct RwInvariants {
         readers.fetch_sub(1);
     }
     void writer_cs() {
+        payload[0] += 1;
+        payload[1] = payload[0];
         if (writers.fetch_add(1) != 0 || readers.load() != 0) {
             violated.store(true);
         }
@@ -219,8 +229,8 @@ TEST_P(NativeAfStress, MutualExclusionInvariants) {
 /// Every (n, m, f) cell of the grid with a valid f <= n, then the shapes
 /// that stress the tree layout: K = 1 with many groups (every leaf is a
 /// root), a K that is not a power of two (n = 12, f = 4: K = 3, so each
-/// tree has a padding leaf), and fewer groups than f (n = 10, f = 6: K = 2,
-/// 5 groups).
+/// tree has a padding leaf), fewer groups than f (n = 10, f = 6: K = 2,
+/// 5 groups), and a writer whose handshake spans many groups (n = f = 16).
 std::vector<NativeAfStress::ParamType> native_af_cells() {
     std::vector<NativeAfStress::ParamType> cells;
     for (const std::uint32_t n : {2u, 4u}) {
@@ -235,6 +245,7 @@ std::vector<NativeAfStress::ParamType> native_af_cells() {
     cells.emplace_back(8u, 2u, 8u);
     cells.emplace_back(12u, 2u, 4u);
     cells.emplace_back(10u, 2u, 6u);
+    cells.emplace_back(16u, 1u, 16u);
     return cells;
 }
 
