@@ -168,7 +168,6 @@ int run_json_mode(const std::string& path, std::uint32_t ms, bool pin) {
         std::uint32_t readers, writers, f;
         std::uint32_t think_us = 0;
         std::uint32_t cs_us = 0;
-        bool topology = false;
         const char* workload = "-";
     };
     // The grid: the uncontended 1r/1w point (the telemetry-overhead
@@ -190,11 +189,10 @@ int run_json_mode(const std::string& path, std::uint32_t ms, bool pin) {
         // nanosecond CSes are almost never preempted mid-hold, so without
         // dwell every wait resolves in the spin/yield stages and
         // futex_waits stays 0 even at 20 threads on 1 core.
-        {perf::PerfLock::Af, 16, 4, 4, 100, 150, false, "oversub"},
-        {perf::PerfLock::Af, 16, 4, 4, 100, 150, true, "oversub-topo"},
-        {perf::PerfLock::Centralized, 16, 4, 1, 100, 150, false, "oversub"},
-        {perf::PerfLock::Faa, 16, 4, 1, 100, 150, false, "oversub"},
-        {perf::PerfLock::PhaseFair, 16, 4, 1, 100, 150, false, "oversub"},
+        {perf::PerfLock::Af, 16, 4, 4, 100, 150, "oversub"},
+        {perf::PerfLock::Centralized, 16, 4, 1, 100, 150, "oversub"},
+        {perf::PerfLock::Faa, 16, 4, 1, 100, 150, "oversub"},
+        {perf::PerfLock::PhaseFair, 16, 4, 1, 100, 150, "oversub"},
     };
 
     auto doc = bench::make_doc("native_throughput");
@@ -210,7 +208,6 @@ int run_json_mode(const std::string& path, std::uint32_t ms, bool pin) {
         cfg.think_us = c.think_us;
         cfg.cs_us = c.cs_us;
         cfg.pin = pin;
-        cfg.topology = c.topology;
         cfg.workload = c.workload;
         const auto res = perf::run_perf(cfg);
 

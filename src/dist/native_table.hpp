@@ -23,33 +23,29 @@
 #include "dist/verbs.hpp"
 #include "native/park.hpp"
 #include "native/spin.hpp"
+#include "native/telemetry.hpp"
 
 namespace rwr::dist {
 
 /// Log2-bucketed acquire-latency histogram plus op/RMR counters for one
-/// session (merged across sessions for the bench rows).
-inline constexpr unsigned kLatBuckets = 64;
-
+/// session (merged across sessions for the bench rows). The histogram is
+/// telemetry's: the same buckets and the same quantile rule.
 struct SessionStats {
     std::uint64_t read_ops = 0;
     std::uint64_t write_ops = 0;
     std::uint64_t network_rmrs = 0;
     std::uint64_t violations = 0;
-    std::array<std::uint64_t, kLatBuckets> acquire_ns_log2{};
+    std::array<std::uint64_t, native::kTelemetryBuckets> acquire_ns_log2{};
 
     void record_acquire_ns(std::uint64_t ns) {
-        unsigned b = 0;
-        while ((std::uint64_t{1} << (b + 1)) <= ns && b + 1 < kLatBuckets) {
-            ++b;
-        }
-        ++acquire_ns_log2[b];
+        ++acquire_ns_log2[native::telemetry_bucket(ns)];
     }
     void merge(const SessionStats& o) {
         read_ops += o.read_ops;
         write_ops += o.write_ops;
         network_rmrs += o.network_rmrs;
         violations += o.violations;
-        for (unsigned b = 0; b < kLatBuckets; ++b) {
+        for (std::uint32_t b = 0; b < native::kTelemetryBuckets; ++b) {
             acquire_ns_log2[b] += o.acquire_ns_log2[b];
         }
     }
@@ -59,24 +55,9 @@ struct SessionStats {
     /// Quantile q in [0,1] of the acquire latency, in microseconds (bucket
     /// upper bound: a factor-2 estimate, fine for p50/p99 bench rows).
     [[nodiscard]] double percentile_us(double q) const {
-        std::uint64_t total = 0;
-        for (const auto c : acquire_ns_log2) {
-            total += c;
-        }
-        if (total == 0) {
-            return 0.0;
-        }
-        const auto want = static_cast<std::uint64_t>(
-            q * static_cast<double>(total - 1));
-        std::uint64_t seen = 0;
-        for (unsigned b = 0; b < kLatBuckets; ++b) {
-            seen += acquire_ns_log2[b];
-            if (seen > want) {
-                return static_cast<double>(std::uint64_t{1} << (b + 1)) /
-                       1000.0;
-            }
-        }
-        return 0.0;
+        return static_cast<double>(
+                   native::telemetry_quantile_ns(acquire_ns_log2, q)) /
+               1000.0;
     }
 };
 

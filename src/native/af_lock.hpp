@@ -1,7 +1,9 @@
 // Native (std::atomic) implementation of the paper's Algorithm 1 -- the
 // A_f reader-writer lock family. Mirrors core/af_lock_sim.cpp line for
-// line, except that help_wcs reads W before C (see there); see that file
-// and the paper's Section 4 for the protocol walkthrough.
+// line, except that help_wcs reads W before C (the argument is in the
+// comment on help_wcs below); see that file and the paper's Section 4 for
+// the protocol walkthrough. Reader i belongs to group i / K, K = ceil(n/f),
+// as in Algorithm 1 and the simulated twin.
 //
 // Identity model: reader ids in [0, n), writer ids in [0, m), passed to
 // every call; one id must never be used by two threads concurrently. For an
@@ -38,16 +40,13 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <vector>
 
 #include "native/counter.hpp"
 #include "native/mutex.hpp"
 #include "native/park.hpp"
 #include "native/spin.hpp"
 #include "native/telemetry.hpp"
-#include "native/topology.hpp"
 
 #ifndef RWR_AF_MISUSE_CHECKS
 #define RWR_AF_MISUSE_CHECKS 1
@@ -55,50 +54,15 @@
 
 namespace rwr::native {
 
-/// Placement/behaviour knobs for AfLock. Defaults reproduce the historical
-/// behaviour exactly.
-struct AfParams {
-    /// How reader ids map to the f groups (and their C[i]/W[i] counters).
-    enum class GroupMap : std::uint8_t {
-        /// group = id / k, slot = id % k. Deterministic, topology-blind.
-        kRoundRobin,
-        /// Readers are lazily assigned a (group, slot) whose counter block
-        /// is homed in the calling thread's cache domain (topology.hpp),
-        /// falling back to any free slot when the home groups are full.
-        /// The map stays injective -- the paper's per-slot single-writer
-        /// requirement -- and re-homes a migrated reader between passages.
-        kTopology,
-    };
-    GroupMap group_map = GroupMap::kRoundRobin;
-    /// Passages between migration re-checks of an assigned reader
-    /// (kTopology only). Checks are one thread-local counter tick; the
-    /// re-check itself is one cached-domain read.
-    std::uint32_t remap_check_every = 64;
-};
-
 class AfLock {
    public:
     /// `f` = number of reader groups = writer RMR budget; 1 <= f <= n.
-    explicit AfLock(std::uint32_t n, std::uint32_t m, std::uint32_t f,
-                    AfParams params = {})
+    explicit AfLock(std::uint32_t n, std::uint32_t m, std::uint32_t f)
         : n_(n), m_(m), f_(validated_f(n, m, f)), k_((n + f_ - 1) / f_),
-          groups_((n + k_ - 1) / k_), tree_nodes_(farray_nodes(k_)),
-          params_(params), wl_(m),
+          groups_((n + k_ - 1) / k_), tree_nodes_(farray_nodes(k_)), wl_(m),
           trees_(std::make_unique<FArrayNode[]>(std::size_t{2} * groups_ *
                                                 tree_nodes_)),
           wsig_(std::make_unique<Signal[]>(groups_)) {
-        if (params_.group_map == AfParams::GroupMap::kTopology) {
-            assign_ = std::make_unique<std::atomic<std::uint64_t>[]>(n_);
-            domains_ = topo::system_topology().num_domains;
-            // Every group starts with all k slots free, slot 0 on top.
-            free_slots_.resize(std::size_t{groups_} * k_);
-            free_count_.assign(groups_, k_);
-            for (std::uint32_t g = 0; g < groups_; ++g) {
-                for (std::uint32_t j = 0; j < k_; ++j) {
-                    free_slots_[std::size_t{g} * k_ + j] = k_ - 1 - j;
-                }
-            }
-        }
         if (kIdLines) {
             ids_ = std::make_unique<IdLine[]>(std::size_t{n_} + m_);
         }
@@ -138,9 +102,8 @@ class AfLock {
                                         0, std::memory_order_relaxed) != 0) {
                       telemetry_->count(TelemetryCounter::kReaderAbortRetry);
                   })
-        const Placement p = entry_placement(reader_id);
-        const std::uint32_t g = p.group;
-        const std::uint32_t slot = p.slot;
+        const std::uint32_t g = reader_id / k_;     // Line 30.
+        const std::uint32_t slot = reader_id % k_;
 
         c(g).add(slot, +1);                         // Line 31.
         const std::uint64_t sig = rsig_.load();     // Line 32.
@@ -190,8 +153,7 @@ class AfLock {
         check_reader(reader_id);
         reader_release_guard(reader_id);
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderExit);)
-        const Placement p = current_placement(reader_id);
-        shared_exit_section(p.group, p.slot);
+        shared_exit_section(reader_id / k_, reader_id % k_);
         RWR_TELEM(sw.stop();)
     }
 
@@ -310,15 +272,6 @@ class AfLock {
     [[nodiscard]] std::uint32_t num_writers() const { return m_; }
     [[nodiscard]] std::uint32_t f() const { return f_; }
     [[nodiscard]] std::uint32_t group_size() const { return k_; }
-    [[nodiscard]] const AfParams& params() const { return params_; }
-
-    /// The group `reader_id` currently maps to (diagnostics/tests). In
-    /// kTopology mode an id that never acquired yet reports its would-be
-    /// round-robin group; after first acquisition, its assigned group.
-    [[nodiscard]] std::uint32_t reader_group(std::uint32_t reader_id) const {
-        check_reader(reader_id);
-        return current_placement(reader_id).group;
-    }
 
    private:
     struct alignas(64) Signal {
@@ -457,109 +410,6 @@ class AfLock {
         }
     }
 
-    // ---- Reader placement (group map policies) -------------------------
-    //
-    // The writer protocol only requires that the id -> (group, slot) map is
-    // injective while an id is between entry and exit (each f-array tree
-    // slot has one concurrent writer); *which* group a reader lands in is a
-    // free choice. kTopology exploits that freedom: counters are updated
-    // domain-locally, and a migrated reader is re-homed between passages
-    // (never inside one -- entry picks the placement, exit reads the same
-    // assignment, and the misuse guard rules out concurrent reuse of the
-    // id while it is in flight).
-
-    struct Placement {
-        std::uint32_t group;
-        std::uint32_t slot;
-    };
-
-    static constexpr std::uint64_t kAssignedBit = std::uint64_t{1} << 63;
-    static constexpr std::uint64_t pack_assign(std::uint32_t domain,
-                                               std::uint32_t group,
-                                               std::uint32_t slot) {
-        return kAssignedBit | (static_cast<std::uint64_t>(domain) << 42) |
-               (static_cast<std::uint64_t>(group) << 21) | slot;
-    }
-    static constexpr std::uint32_t assign_domain(std::uint64_t a) {
-        return static_cast<std::uint32_t>((a >> 42) & 0x1fffff);
-    }
-    static constexpr std::uint32_t assign_group(std::uint64_t a) {
-        return static_cast<std::uint32_t>((a >> 21) & 0x1fffff);
-    }
-    static constexpr std::uint32_t assign_slot(std::uint64_t a) {
-        return static_cast<std::uint32_t>(a & 0x1fffff);
-    }
-
-    /// Placement for a passage *entry*: assigns on first use and may
-    /// re-home a migrated reader (kTopology); pure arithmetic otherwise.
-    Placement entry_placement(std::uint32_t id) {
-        if (params_.group_map != AfParams::GroupMap::kTopology) {
-            return {id / k_, id % k_};
-        }
-        const std::uint64_t cur = assign_[id].load();
-        if ((cur & kAssignedBit) == 0) {
-            return assign_topology_slot(id);
-        }
-        thread_local std::uint32_t passages_since_check = 0;
-        if (++passages_since_check >= params_.remap_check_every) {
-            passages_since_check = 0;
-            if (topo::current_domain() != assign_domain(cur)) {
-                return assign_topology_slot(id);
-            }
-        }
-        return {assign_group(cur), assign_slot(cur)};
-    }
-
-    /// Placement for exit/abort paths: a pure lookup, never reassigns, so
-    /// it always matches what the passage's entry used.
-    [[nodiscard]] Placement current_placement(std::uint32_t id) const {
-        if (params_.group_map != AfParams::GroupMap::kTopology) {
-            return {id / k_, id % k_};
-        }
-        const std::uint64_t cur = assign_[id].load();
-        if ((cur & kAssignedBit) == 0) {
-            return {id / k_, id % k_};  // Never entered: round-robin view.
-        }
-        return {assign_group(cur), assign_slot(cur)};
-    }
-
-    /// Cold path, guarded by assign_mu_: hand `id` a free slot in a group
-    /// homed in the caller's domain, else any free slot (total slot
-    /// capacity groups*k >= n, so one always exists). Runs once per id
-    /// plus once per observed migration.
-    Placement assign_topology_slot(std::uint32_t id) {
-        const std::uint32_t d = topo::current_domain();
-        std::lock_guard<std::mutex> guard(assign_mu_);
-        const std::uint64_t cur = assign_[id].load();
-        if ((cur & kAssignedBit) != 0) {
-            if (assign_domain(cur) == d) {
-                return {assign_group(cur), assign_slot(cur)};
-            }
-            const std::uint32_t from = assign_group(cur);
-            free_slots_[std::size_t{from} * k_ + free_count_[from]++] =
-                assign_slot(cur);
-        }
-        std::uint32_t pick = groups_;
-        for (std::uint32_t g = 0; g < groups_; ++g) {
-            if (g % domains_ == d && free_count_[g] != 0) {
-                pick = g;
-                break;
-            }
-        }
-        if (pick == groups_) {
-            for (std::uint32_t g = 0; g < groups_; ++g) {
-                if (free_count_[g] != 0) {
-                    pick = g;
-                    break;
-                }
-            }
-        }
-        const std::uint32_t slot =
-            free_slots_[std::size_t{pick} * k_ + --free_count_[pick]];
-        assign_[id].store(pack_assign(d, pick, slot));
-        return {pick, slot};
-    }
-
     static std::uint32_t validated_f(std::uint32_t n, std::uint32_t m,
                                      std::uint32_t f) {
         if (n == 0 || m == 0 || f == 0 || f > n) {
@@ -628,23 +478,12 @@ class AfLock {
 
     std::uint32_t n_, m_, f_, k_, groups_;
     std::uint32_t tree_nodes_;  // farray_nodes(k_): the stride of trees_.
-    AfParams params_;
     TournamentMutex wl_;
     // All 2·groups f-array trees in one block, one node per line: C[g] is
     // tree g and W[g] is tree groups + g, so node i of tree t sits at
     // t·tree_nodes_ + i and every root is one indexed load.
     std::unique_ptr<FArrayNode[]> trees_;
     std::unique_ptr<Signal[]> wsig_;
-    // Topology-mode placement state (null/empty under kRoundRobin). The
-    // packed assignment words are the hot lookup; the free-slot stacks
-    // (group g's stack is free_slots_[g·k, g·k + free_count_[g])) are
-    // cold, touched only under assign_mu_. Group g is homed in domain
-    // g % domains_: groups are spread across domains round-robin.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> assign_;
-    std::mutex assign_mu_;
-    std::vector<std::uint32_t> free_slots_;
-    std::vector<std::uint32_t> free_count_;
-    std::uint32_t domains_ = 1;
     alignas(64) std::atomic<std::uint64_t> wseq_{0};
     alignas(64) std::atomic<std::uint64_t> rsig_{0};  // pack(0, kRsNop).
     /// Readers parked at line 36 wait here; every rsig_ store wakes it.

@@ -80,8 +80,6 @@ struct PerfConfig {
     /// Pin thread i to cpu (i mod hardware_concurrency). Stabilizes
     /// multi-core runs; a no-op win on 1-core CI.
     bool pin = false;
-    /// (Af only) use the topology-aware group map instead of round-robin.
-    bool topology = false;
     /// Workload label carried into bench rows ("-" = the default
     /// closed-loop hammer); part of the bench_diff row key.
     std::string workload = "-";
@@ -270,11 +268,7 @@ inline PerfResult run_perf(const PerfConfig& cfg) {
     LockTelemetry telemetry;
     switch (cfg.lock) {
         case PerfLock::Af: {
-            AfParams params;
-            if (cfg.topology) {
-                params.group_map = AfParams::GroupMap::kTopology;
-            }
-            AfLock lock(cfg.readers, cfg.writers, cfg.resolved_f(), params);
+            AfLock lock(cfg.readers, cfg.writers, cfg.resolved_f());
             return detail::drive(lock, telemetry, cfg);
         }
         case PerfLock::Centralized: {

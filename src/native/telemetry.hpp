@@ -26,6 +26,7 @@
 // compiles them out entirely. See native/af_lock.hpp for the pattern.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -102,6 +103,45 @@ inline constexpr std::uint32_t kTelemetryHistos =
 /// ns (bucket 0 also absorbs sub-ns); 40 buckets reach ~18 minutes.
 inline constexpr std::uint32_t kTelemetryBuckets = 40;
 
+/// The bucket a latency of `ns` falls in; latencies past the last bucket's
+/// lower edge land in the last bucket.
+constexpr std::uint32_t telemetry_bucket(std::uint64_t ns) {
+    return ns == 0 ? 0
+                   : std::min(kTelemetryBuckets - 1,
+                              static_cast<std::uint32_t>(std::bit_width(ns) -
+                                                         1));
+}
+
+constexpr std::uint64_t telemetry_bucket_upper_ns(std::uint32_t b) {
+    return std::uint64_t{1} << (b + 1);
+}
+
+/// Quantile estimate from a log2 histogram: upper bound of the bucket
+/// holding the sample of rank min(q·total, total − 1), q in [0,1]. 0 when
+/// there are no samples.
+inline std::uint64_t telemetry_quantile_ns(
+    const std::array<std::uint64_t, kTelemetryBuckets>& buckets, double q) {
+    std::uint64_t total = 0;
+    for (const auto v : buckets) {
+        total += v;
+    }
+    if (total == 0) {
+        return 0;
+    }
+    auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
+    if (rank >= total) {
+        rank = total - 1;
+    }
+    std::uint64_t seen = 0;
+    for (std::uint32_t b = 0; b < kTelemetryBuckets; ++b) {
+        seen += buckets[b];
+        if (seen > rank) {
+            return telemetry_bucket_upper_ns(b);
+        }
+    }
+    return telemetry_bucket_upper_ns(kTelemetryBuckets - 1);
+}
+
 inline const char* to_string(TelemetryCounter c) {
     switch (c) {
         case TelemetryCounter::kReaderAcquire: return "reader_acquisitions";
@@ -155,31 +195,11 @@ struct TelemetrySnapshot {
         return total;
     }
 
-    /// Quantile estimate from the log2 histogram: upper bound of the bucket
-    /// containing the q-th sample (q in [0,1]). 0 when no samples.
+    /// See telemetry_quantile_ns.
     [[nodiscard]] std::uint64_t quantile_ns(TelemetryHisto h,
                                             double q) const {
-        const auto& buckets = histos[static_cast<std::uint32_t>(h)];
-        const std::uint64_t total = samples(h);
-        if (total == 0) {
-            return 0;
-        }
-        auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
-        if (rank >= total) {
-            rank = total - 1;
-        }
-        std::uint64_t seen = 0;
-        for (std::uint32_t b = 0; b < kTelemetryBuckets; ++b) {
-            seen += buckets[b];
-            if (seen > rank) {
-                return bucket_upper_ns(b);
-            }
-        }
-        return bucket_upper_ns(kTelemetryBuckets - 1);
-    }
-
-    static constexpr std::uint64_t bucket_upper_ns(std::uint32_t b) {
-        return std::uint64_t{1} << (b + 1);
+        return telemetry_quantile_ns(histos[static_cast<std::uint32_t>(h)],
+                                     q);
     }
 
     TelemetrySnapshot& operator-=(const TelemetrySnapshot& o) {
@@ -253,13 +273,8 @@ class LockTelemetry {
     }
 
     void record_ns(TelemetryHisto h, std::uint64_t ns) {
-        const std::uint32_t b =
-            ns == 0 ? 0
-                    : std::min(kTelemetryBuckets - 1,
-                               static_cast<std::uint32_t>(
-                                   std::bit_width(ns) - 1));
-        slot().histos[static_cast<std::uint32_t>(h)][b].fetch_add(
-            1, std::memory_order_relaxed);
+        slot().histos[static_cast<std::uint32_t>(h)][telemetry_bucket(ns)]
+            .fetch_add(1, std::memory_order_relaxed);
     }
 
     /// Record which escalation stage a finished wait reached. Call once per

@@ -60,13 +60,10 @@ std::size_t allocations_in(Body&& body) {
     return g_allocations.load();
 }
 
-/// Allocations made by constructing (and destroying) AfLock(n, m, f,
-/// params).
+/// Allocations made by constructing (and destroying) AfLock(n, m, f).
 std::size_t construction_allocations(std::uint32_t n, std::uint32_t m,
-                                     std::uint32_t f,
-                                     rwr::native::AfParams params = {}) {
-    return allocations_in(
-        [&] { const rwr::native::AfLock lock(n, m, f, params); });
+                                     std::uint32_t f) {
+    return allocations_in([&] { const rwr::native::AfLock lock(n, m, f); });
 }
 
 }  // namespace
@@ -129,7 +126,6 @@ void operator delete[](void* p, std::align_val_t,
 namespace {
 
 using rwr::native::AfLock;
-using rwr::native::AfParams;
 using rwr::native::FArrayCounter;
 
 TEST(AfLockAllocations, CountIsTheSameForEveryF) {
@@ -138,18 +134,6 @@ TEST(AfLockAllocations, CountIsTheSameForEveryF) {
     const std::size_t base = construction_allocations(1024, 3, 1);
     for (const std::uint32_t f : {4u, 256u, 1024u}) {
         EXPECT_EQ(construction_allocations(1024, 3, f), base) << "f=" << f;
-    }
-}
-
-TEST(AfLockAllocations, TopologyMapCountIsTheSameForEveryF) {
-    AfParams params;
-    params.group_map = AfParams::GroupMap::kTopology;
-    // The first construction may build the process-wide topology cache.
-    (void)construction_allocations(16, 1, 1, params);
-    const std::size_t base = construction_allocations(1024, 3, 1, params);
-    for (const std::uint32_t f : {4u, 256u, 1024u}) {
-        EXPECT_EQ(construction_allocations(1024, 3, f, params), base)
-            << "f=" << f;
     }
 }
 
