@@ -12,8 +12,10 @@
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/af_params.hpp"
 #include "native/af_lock.hpp"
 #include "native/baselines.hpp"
 #include "native/counter.hpp"
@@ -261,6 +263,87 @@ TEST(NativeAfLock, ArgumentValidation) {
     EXPECT_THROW(ok.lock(1), std::invalid_argument);
 }
 
+// ---- Reader placement ------------------------------------------------------
+// Reader i uses group i / K and slot i % K, K = ceil(n / f), as in
+// Algorithm 1 and the simulated twin. A try_lock fails exactly when some
+// reader is counted in a group the writer scans, so it observes the map.
+
+/// (n, f) shapes for the placement tests: K = 1, f = 1, a ragged last
+/// group (n = 10, f = 3: groups of 4, 4, 2) and fewer groups than f
+/// (n = 10, f = 6: K = 2, 5 groups).
+const std::vector<std::pair<std::uint32_t, std::uint32_t>> kPlacementShapes =
+    {{1, 1}, {4, 4}, {4, 1}, {8, 2}, {10, 3}, {10, 6}, {12, 4}};
+
+TEST(NativeAfPlacement, GroupSizeMatchesTheSimulatedTwin) {
+    for (std::uint32_t n = 1; n <= 40; ++n) {
+        for (std::uint32_t f = 1; f <= n; ++f) {
+            const AfLock lock(n, 1, f);
+            const core::AfParams twin{.n = n, .m = 1, .f = f};
+            EXPECT_EQ(lock.group_size(), twin.group_size())
+                << "n=" << n << " f=" << f;
+            EXPECT_EQ(lock.f(), f);
+        }
+    }
+}
+
+TEST(NativeAfPlacement, EveryReaderIdIsSeenByTheWriter) {
+    for (const auto& [n, f] : kPlacementShapes) {
+        AfLock lock(n, 1, f);
+        for (std::uint32_t r = 0; r < n; ++r) {
+            lock.lock_shared(r);
+            EXPECT_FALSE(lock.try_lock(0)) << "n=" << n << " f=" << f
+                                           << " reader " << r;
+            lock.unlock_shared(r);
+            // The exit left the same (group, slot) the entry counted in.
+            ASSERT_TRUE(lock.try_lock(0)) << "n=" << n << " f=" << f
+                                          << " reader " << r;
+            lock.unlock(0);
+        }
+    }
+}
+
+TEST(NativeAfPlacement, EveryGroupHoldsAllOfItsReadersAtOnce) {
+    for (const auto& [n, f] : kPlacementShapes) {
+        AfLock lock(n, 1, f);
+        for (std::uint32_t r = 0; r < n; ++r) {
+            ASSERT_TRUE(lock.try_lock_shared(r)) << "n=" << n << " f=" << f
+                                                 << " reader " << r;
+        }
+        // Release all but the last reader: it alone still blocks writers.
+        for (std::uint32_t r = 0; r + 1 < n; ++r) {
+            lock.unlock_shared(r);
+        }
+        EXPECT_FALSE(lock.try_lock(0)) << "n=" << n << " f=" << f;
+        lock.unlock_shared(n - 1);
+        EXPECT_TRUE(lock.try_lock(0)) << "n=" << n << " f=" << f;
+        lock.unlock(0);
+    }
+}
+
+TEST(NativeAfPlacement, OneReaderPerGroupBlocksUntilTheLastLeaves) {
+    // n = 10, f = 3: K = 4, groups {0..3}, {4..7}, {8, 9}.
+    AfLock lock(10, 1, 3);
+    ASSERT_EQ(lock.group_size(), 4u);
+    const std::uint32_t one_per_group[] = {3, 4, 9};
+    for (const std::uint32_t r : one_per_group) {
+        lock.lock_shared(r);
+    }
+    for (const std::uint32_t r : one_per_group) {
+        EXPECT_FALSE(lock.try_lock(0)) << "before reader " << r << " leaves";
+        lock.unlock_shared(r);
+    }
+    EXPECT_TRUE(lock.try_lock(0));
+    lock.unlock(0);
+}
+
+TEST(NativeAfPlacement, RaggedLastGroupKeepsExclusionUnderThreads) {
+    // n = 10, f = 3: the last group has 2 of its K = 4 slots in use.
+    AfLock lock(10, 2, 3);
+    RwInvariants inv;
+    stress_rw(lock, 10, 2, 300, &inv);
+    EXPECT_FALSE(inv.violated.load());
+}
+
 TEST(NativeCentralized, MutualExclusionInvariants) {
     CentralizedRWLock lock;
     RwInvariants inv;
@@ -403,6 +486,23 @@ TEST(AfSharedMutex, SlotExhaustionThrows) {
     t.join();
     mtx.unlock_shared();
     EXPECT_TRUE(threw.load());
+}
+
+TEST(AfSharedMutex, ExplicitFReachesTheUnderlyingLock) {
+    const AfSharedMutex mtx(/*max_readers=*/16, /*max_writers=*/2, /*f=*/4);
+    EXPECT_EQ(mtx.underlying().num_readers(), 16u);
+    EXPECT_EQ(mtx.underlying().num_writers(), 2u);
+    EXPECT_EQ(mtx.underlying().f(), 4u);
+    EXPECT_EQ(mtx.underlying().group_size(), 4u);
+}
+
+TEST(AfSharedMutex, DefaultFIsTheCeilingOfSqrtN) {
+    const std::pair<std::uint32_t, std::uint32_t> cases[] = {
+        {1, 1}, {2, 2}, {4, 2}, {5, 3}, {10, 4}, {16, 4}, {17, 5}, {64, 8}};
+    for (const auto& [readers, f] : cases) {
+        const AfSharedMutex mtx(readers, 1);
+        EXPECT_EQ(mtx.underlying().f(), f) << "max_readers=" << readers;
+    }
 }
 
 }  // namespace

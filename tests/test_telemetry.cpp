@@ -4,8 +4,11 @@
 // histogram bucketing/quantiles, and detachment semantics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
@@ -296,6 +299,94 @@ TEST(TelemetryTest, HistogramBucketsAndQuantiles) {
     EXPECT_EQ(snap.quantile_ns(TelemetryHisto::kReaderEntry, 1.0), 2048u);
     EXPECT_EQ(snap.samples(TelemetryHisto::kWriterEntry), 0u);
     EXPECT_EQ(snap.quantile_ns(TelemetryHisto::kWriterEntry, 0.5), 0u);
+}
+
+// ---- The shared log2 histogram helpers -------------------------------------
+// telemetry_bucket and telemetry_quantile_ns are also what dist's
+// SessionStats uses, so their edges and rank rule are pinned here.
+
+using Buckets = std::array<std::uint64_t, kTelemetryBuckets>;
+
+TEST(TelemetryHistogram, ZeroAndOneNsShareTheFirstBucket) {
+    EXPECT_EQ(telemetry_bucket(0), 0u);
+    EXPECT_EQ(telemetry_bucket(1), 0u);
+    EXPECT_EQ(telemetry_bucket(2), 1u);
+    EXPECT_EQ(telemetry_bucket_upper_ns(0), 2u);
+}
+
+TEST(TelemetryHistogram, EachPowerOfTwoOpensItsBucket) {
+    for (std::uint32_t b = 0; b + 1 < kTelemetryBuckets; ++b) {
+        const std::uint64_t lower = std::uint64_t{1} << b;
+        EXPECT_EQ(telemetry_bucket(lower), b);
+        EXPECT_EQ(telemetry_bucket(2 * lower - 1), b);
+        // A bucket's upper bound is the next bucket's lower edge.
+        EXPECT_EQ(telemetry_bucket_upper_ns(b), 2 * lower);
+        EXPECT_EQ(telemetry_bucket(telemetry_bucket_upper_ns(b)), b + 1);
+    }
+}
+
+TEST(TelemetryHistogram, LatenciesPastTheLastEdgeLandInTheLastBucket) {
+    constexpr std::uint32_t kLast = kTelemetryBuckets - 1;
+    EXPECT_EQ(telemetry_bucket(std::uint64_t{1} << kLast), kLast);
+    EXPECT_EQ(telemetry_bucket(std::uint64_t{1} << 50), kLast);
+    EXPECT_EQ(telemetry_bucket(std::numeric_limits<std::uint64_t>::max()),
+              kLast);
+}
+
+TEST(TelemetryHistogram, QuantileOfAnEmptyHistogramIsZero) {
+    const Buckets empty{};
+    for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+        EXPECT_EQ(telemetry_quantile_ns(empty, q), 0u) << "q=" << q;
+    }
+}
+
+TEST(TelemetryHistogram, QuantileRankIsMinOfQTimesTotalAndTheLast) {
+    // One sample each in buckets 1, 3, 5, 7 (total 4): rank floor(4q),
+    // clamped to 3.
+    Buckets h{};
+    for (const std::uint32_t b : {1u, 3u, 5u, 7u}) {
+        h[b] = 1;
+    }
+    EXPECT_EQ(telemetry_quantile_ns(h, 0.0), 4u);
+    EXPECT_EQ(telemetry_quantile_ns(h, 0.24), 4u);
+    EXPECT_EQ(telemetry_quantile_ns(h, 0.25), 16u);
+    EXPECT_EQ(telemetry_quantile_ns(h, 0.74), 64u);
+    EXPECT_EQ(telemetry_quantile_ns(h, 0.75), 256u);
+    EXPECT_EQ(telemetry_quantile_ns(h, 1.0), 256u);
+}
+
+TEST(TelemetryHistogram, QuantileIsMonotoneInQ) {
+    Buckets h{};
+    h[0] = 3;
+    h[4] = 10;
+    h[5] = 1;
+    h[12] = 7;
+    h[kTelemetryBuckets - 1] = 2;
+    std::uint64_t prev = 0;
+    for (int i = 0; i <= 100; ++i) {
+        const double q = i / 100.0;
+        const std::uint64_t v = telemetry_quantile_ns(h, q);
+        EXPECT_GE(v, prev) << "q=" << q;
+        prev = v;
+    }
+    EXPECT_EQ(prev, telemetry_bucket_upper_ns(kTelemetryBuckets - 1));
+}
+
+TEST(TelemetryHistogram, SnapshotQuantileIsTheSharedHelper) {
+    LockTelemetry telemetry;
+    Buckets h{};
+    for (const std::uint64_t ns : {0ull, 7ull, 300ull, 300ull, 5000ull,
+                                   1ull << 45}) {
+        telemetry.record_ns(TelemetryHisto::kWriterExit, ns);
+        ++h[telemetry_bucket(ns)];
+    }
+    const auto snap = telemetry.aggregate();
+    for (int i = 0; i <= 20; ++i) {
+        const double q = i / 20.0;
+        EXPECT_EQ(snap.quantile_ns(TelemetryHisto::kWriterExit, q),
+                  telemetry_quantile_ns(h, q))
+            << "q=" << q;
+    }
 }
 
 TEST(TelemetryTest, SnapshotSubtractionGivesIntervalDeltas) {
