@@ -46,7 +46,7 @@
 #include "harness/pool.hpp"
 #include "harness/seeds.hpp"
 #include "harness/table.hpp"
-#include "mutex/abortable_tournament.hpp"
+#include "mutex/tournament.hpp"
 #include "mutex/episodes.hpp"
 #include "mutex/jj_amortized.hpp"
 #include "mutex/pw_randomized.hpp"
@@ -78,7 +78,7 @@ constexpr double kGrowthFloor = 2.0;
 enum class Variant {
     JjCc,          ///< JJAmortizedMutex, WriteBack.
     JjDsm,         ///< JJAmortizedMutex, Dsm, cells homed at their slots.
-    TournamentCc,  ///< AbortableTournamentMutex: the log m abort baseline.
+    TournamentCc,  ///< TournamentSimMutex: the log m abort baseline.
     PwCc,          ///< PwRandomizedMutex at a fixed coin seed (grid row).
     YaDsm,         ///< Yang-Anderson homed tree: the DSM log m baseline.
     JjjCc,         ///< RecoverableJJJMutex: the recoverable log m baseline.
@@ -141,8 +141,7 @@ MutexBuilder builder_for(Variant v, std::uint32_t m) {
         case Variant::TournamentCc:
             return [m](Memory& mem) {
                 return std::unique_ptr<SimMutex>(
-                    std::make_unique<AbortableTournamentMutex>(
-                        mem, "tournament", m));
+                    std::make_unique<TournamentSimMutex>(mem, "tournament", m));
             };
         case Variant::PwCc:
             return [m](Memory& mem) {

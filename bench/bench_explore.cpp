@@ -40,6 +40,7 @@
 #include "harness/table.hpp"
 #include "mutex/episodes.hpp"
 #include "mutex/sim_mutex.hpp"
+#include "mutex/tournament.hpp"
 #include "recover/episodes.hpp"
 #include "sim/broken_locks.hpp"
 #include "sim/driver.hpp"

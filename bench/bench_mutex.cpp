@@ -8,6 +8,7 @@
 
 #include "harness/table.hpp"
 #include "mutex/sim_mutex.hpp"
+#include "mutex/tournament.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 

@@ -28,7 +28,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "mutex/sim_mutex.hpp"
+#include "mutex/tournament.hpp"
 #include "rmr/memory.hpp"
 #include "sim/rwlock.hpp"
 

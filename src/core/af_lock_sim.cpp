@@ -2,6 +2,7 @@
 
 #include "mutex/jj_amortized.hpp"
 #include "mutex/pw_randomized.hpp"
+#include "mutex/tournament.hpp"
 
 namespace rwr::core {
 
@@ -36,14 +37,29 @@ std::unique_ptr<mutex::SimMutex> make_wl(Memory& mem, const AfParams& params) {
     return std::make_unique<mutex::TournamentSimMutex>(mem, "af.WL", params.m);
 }
 
+AfParams validated(AfParams params) {
+    params.validate();
+    return params;
+}
+
 }  // namespace
 
 AfSimLock::AfSimLock(Memory& mem, AfParams params)
-    : params_(params),
-      k_(params.group_size()),
-      groups_(params.num_groups()),
-      wl_(make_wl(mem, params)) {
-    params_.validate();
+    : AfSimLock(mem, params, AfAblation::None) {}
+
+std::unique_ptr<AfSimLock> AfSimLock::ablated_for_test(Memory& mem,
+                                                       AfParams params,
+                                                       AfAblation ablation) {
+    return std::unique_ptr<AfSimLock>(new AfSimLock(mem, params, ablation));
+}
+
+AfSimLock::AfSimLock(Memory& mem, AfParams params, AfAblation ablation)
+    // Validate before group_size()/num_groups() divide by f and K.
+    : params_(validated(params)),
+      ablation_(ablation),
+      k_(params_.group_size()),
+      groups_(params_.num_groups()),
+      wl_(make_wl(mem, params_)) {
     // DSM variant: the writer-side words live in writer 0's segment (the
     // writer is the only process that spins on WSIG; see af_params.hpp).
     const ProcId wowner =
@@ -132,6 +148,9 @@ sim::SimTask<void> AfSimLock::reader_exit(sim::Process& p) {
     const std::uint32_t slot = slot_of(p.role_index());
 
     co_await c_[group]->add(p, slot, -1);  // Line 40.
+    if (ablation_ == AfAblation::NoExitHelp) {
+        co_return;  // Lines 41-48 removed: leave without signalling.
+    }
 
     const Word sig = co_await p.read(rsig_);  // Line 41.
     const Word seq = sig_seq(sig);
@@ -156,25 +175,34 @@ sim::SimTask<void> AfSimLock::writer_entry(sim::Process& p) {
     // passage (the paper reads val(WSEQ) throughout).
     const Word seq = co_await p.read(wseq_);
 
-    for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 7-9.
-        co_await p.write(wsig_[i], pack_sig(seq, WsOp::Bot));
-    }
-    co_await p.write(rsig_, pack_sig(seq, RsOp::PreEntry));  // Line 11.
+    if (ablation_ == AfAblation::NoPreentry) {
+        // Lines 7-17 removed: arm the WAIT handshake at once, without first
+        // draining readers that still wait for previous passages.
+        for (std::uint32_t i = 0; i < groups_; ++i) {
+            co_await p.write(wsig_[i], pack_sig(seq, WsOp::Wait));
+        }
+    } else {
+        for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 7-9.
+            co_await p.write(wsig_[i], pack_sig(seq, WsOp::Bot));
+        }
+        co_await p.write(rsig_, pack_sig(seq, RsOp::PreEntry));  // Line 11.
 
-    // Lines 12-17: drain readers waiting on *previous* passages. For each
-    // group: if C[i] > 0, some readers are still in passages; one of them
-    // will observe C[i] == 0 on its way out and CAS WSIG[i] to PROCEED.
-    for (std::uint32_t i = 0; i < groups_; ++i) {
-        const std::int64_t c = co_await c_[i]->read(p);  // Line 13.
-        if (c > 0) {
-            for (;;) {  // Line 14: local spin, <= 1 RMR (single CAS arrives).
-                const Word sig = co_await p.read(wsig_[i]);
-                if (sig == pack_sig(seq, WsOp::Proceed)) {
-                    break;
+        // Lines 12-17: drain readers waiting on *previous* passages. For
+        // each group: if C[i] > 0, some readers are still in passages; one
+        // of them will observe C[i] == 0 on its way out and CAS WSIG[i] to
+        // PROCEED.
+        for (std::uint32_t i = 0; i < groups_; ++i) {
+            const std::int64_t c = co_await c_[i]->read(p);  // Line 13.
+            if (c > 0) {
+                for (;;) {  // Line 14: local spin, <= 1 RMR (one CAS arrives).
+                    const Word sig = co_await p.read(wsig_[i]);
+                    if (sig == pack_sig(seq, WsOp::Proceed)) {
+                        break;
+                    }
                 }
             }
+            co_await p.write(wsig_[i], pack_sig(seq, WsOp::Wait));  // L. 16.
         }
-        co_await p.write(wsig_[i], pack_sig(seq, WsOp::Wait));  // Line 16.
     }
 
     co_await p.write(rsig_, pack_sig(seq, RsOp::Wait));  // Line 18.

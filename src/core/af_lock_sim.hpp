@@ -16,6 +16,19 @@
 // RMR complexity (Theorem 18): writers Θ(f(n) + log m) per passage, readers
 // Θ(log(n/f(n))) per passage. Readers never starve; writers can starve
 // under a continuous reader flood (paper Section 6).
+//
+// Ablations (tests only, via AfSimLock::ablated_for_test) each remove one
+// mechanism whose purpose the paper explains, so the verification machinery
+// can show that it is load-bearing:
+//   * NoPreentry drops lines 7-17, the PREENTRY handshake, which checks
+//     "that no readers are already waiting (for previous writer passages),
+//     before w instructs concurrent readers to wait for its current
+//     passage". Without it a reader still waking from the previous passage
+//     is double-counted by the new passage's C[i] == W[i] test, and the
+//     writer can be signalled into the CS beside that reader.
+//   * NoExitHelp drops lines 41-48, the exit-section signalling. A writer
+//     that saw C[i] > 0 is then never told that the group drained, and
+//     spins forever.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +44,20 @@
 
 namespace rwr::core {
 
+enum class AfAblation : std::uint8_t {
+    None,
+    NoPreentry,  ///< Drops writer lines 7-17.
+    NoExitHelp,  ///< Drops reader lines 41-48.
+};
+
 class AfSimLock final : public sim::SimRWLock {
    public:
     AfSimLock(Memory& mem, AfParams params);
+
+    /// Test-only: the lock with one mechanism removed (see the top of
+    /// this file). AfAblation::None builds the full lock.
+    [[nodiscard]] static std::unique_ptr<AfSimLock> ablated_for_test(
+        Memory& mem, AfParams params, AfAblation ablation);
 
     sim::SimTask<void> reader_entry(sim::Process& p) override;
     sim::SimTask<void> reader_exit(sim::Process& p) override;
@@ -41,8 +65,13 @@ class AfSimLock final : public sim::SimRWLock {
     sim::SimTask<void> writer_exit(sim::Process& p) override;
 
     [[nodiscard]] std::string name() const override {
-        return "A_f(f=" + std::to_string(params_.f) + ")" +
-               (params_.dsm_local_spin ? "+dsm" : "");
+        std::string base = "A_f(f=" + std::to_string(params_.f) + ")";
+        if (ablation_ == AfAblation::NoPreentry) {
+            base = "A_f[-preentry]";
+        } else if (ablation_ == AfAblation::NoExitHelp) {
+            base = "A_f[-exithelp]";
+        }
+        return base + (params_.dsm_local_spin ? "+dsm" : "");
     }
 
     [[nodiscard]] const AfParams& params() const { return params_; }
@@ -53,10 +82,12 @@ class AfSimLock final : public sim::SimRWLock {
         return reader_index % k_;
     }
 
-    /// Test hooks: signal variable of a group, number of groups.
+    /// Test hooks: signal variables (to steer schedules around spin
+    /// loops), number of groups.
     [[nodiscard]] VarId wsig_var(std::uint32_t group) const {
         return wsig_[group];
     }
+    [[nodiscard]] VarId rsig_var() const { return rsig_; }
     [[nodiscard]] std::uint32_t num_groups() const { return groups_; }
 
     /// Test hooks: exact (non-simulated) counter contents.
@@ -70,6 +101,8 @@ class AfSimLock final : public sim::SimRWLock {
     }
 
    private:
+    AfSimLock(Memory& mem, AfParams params, AfAblation ablation);
+
     /// HelpWCS (paper lines 50-54): if every group-i reader in a passage is
     /// waiting (C[i] == W[i]), signal the writer of passage `seq` that it
     /// may enter the CS.
@@ -77,6 +110,7 @@ class AfSimLock final : public sim::SimRWLock {
                                 Word seq);
 
     AfParams params_;
+    AfAblation ablation_;
     std::uint32_t k_;       ///< Group size K.
     std::uint32_t groups_;  ///< Number of groups (= f, modulo rounding).
 

@@ -1,5 +1,6 @@
 #include "counter/sim_counter.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -13,10 +14,13 @@ std::uint32_t next_pow2(std::uint32_t x) {
 
 FArraySimCounter::FArraySimCounter(Memory& mem, const std::string& name,
                                    std::uint32_t capacity,
-                                   std::optional<ProcId> owner_base)
+                                   std::optional<ProcId> owner_base,
+                                   AggKind kind, std::int32_t identity)
     : capacity_(capacity),
       num_leaves_(next_pow2(capacity)),
-      num_internal_(num_leaves_ - 1) {
+      num_internal_(num_leaves_ - 1),
+      kind_(kind),
+      identity_(identity) {
     if (capacity == 0) {
         throw std::invalid_argument("FArraySimCounter: capacity must be >= 1");
     }
@@ -32,8 +36,25 @@ FArraySimCounter::FArraySimCounter(Memory& mem, const std::string& name,
             }
         }
         vars_.push_back(mem.allocate(
-            name + (leaf ? ".leaf" : ".node") + std::to_string(i), 0, owner));
+            name + (leaf ? ".leaf" : ".node") + std::to_string(i),
+            PackedNode::pack(0, identity), owner));
     }
+}
+
+std::int64_t FArraySimCounter::combine(std::int64_t a, std::int64_t b) const {
+    switch (kind_) {
+        case AggKind::Sum: return a + b;
+        case AggKind::Max: return std::max(a, b);
+        case AggKind::Min: return std::min(a, b);
+    }
+    return a;
+}
+
+std::uint32_t FArraySimCounter::leaf_of(std::uint32_t slot) const {
+    if (slot >= capacity_) {
+        throw std::invalid_argument("FArraySimCounter: slot out of range");
+    }
+    return num_internal_ + slot;
 }
 
 sim::SimTask<std::int64_t> FArraySimCounter::read_slot(sim::Process& p,
@@ -49,24 +70,28 @@ sim::SimTask<bool> FArraySimCounter::refresh(sim::Process& p,
     const Word old = co_await p.read(vars_[u]);
     const std::int64_t left = co_await read_slot(p, 2 * u + 1);
     const std::int64_t right = co_await read_slot(p, 2 * u + 2);
-    const Word desired = PackedNode::pack(PackedNode::version(old) + 1,
-                                          static_cast<std::int32_t>(left + right));
+    const Word desired =
+        PackedNode::pack(PackedNode::version(old) + 1,
+                         static_cast<std::int32_t>(combine(left, right)));
     const Word prior = co_await p.cas(vars_[u], old, desired);
     co_return prior == old;
 }
 
 sim::SimTask<void> FArraySimCounter::add(sim::Process& p, std::uint32_t slot,
                                          std::int64_t delta) {
-    if (slot >= capacity_) {
-        throw std::invalid_argument("FArraySimCounter::add: slot out of range");
-    }
-    // 1. Update our single-writer leaf (plain read-modify-write is safe:
-    //    only this slot's owner writes it).
-    const std::uint32_t leaf = num_internal_ + slot;
-    const Word cur = co_await p.read(vars_[leaf]);
-    const std::int32_t next =
-        static_cast<std::int32_t>(PackedNode::value(cur) + delta);
-    co_await p.write(vars_[leaf], PackedNode::pack(0, next));
+    // Plain read-modify-write of our leaf is safe: only this slot's owner
+    // writes it.
+    const Word cur = co_await p.read(vars_[leaf_of(slot)]);
+    co_await update(p, slot,
+                    static_cast<std::int32_t>(PackedNode::value(cur) + delta));
+}
+
+sim::SimTask<void> FArraySimCounter::update(sim::Process& p,
+                                            std::uint32_t slot,
+                                            std::int32_t value) {
+    // 1. Overwrite our single-writer leaf.
+    const std::uint32_t leaf = leaf_of(slot);
+    co_await p.write(vars_[leaf], PackedNode::pack(0, value));
 
     if (num_internal_ == 0) {
         co_return;  // K == 1: the leaf is the root.
@@ -95,11 +120,12 @@ sim::SimTask<std::int64_t> FArraySimCounter::read(sim::Process& p) {
 }
 
 std::int64_t FArraySimCounter::peek_exact(const Memory& mem) const {
-    std::int64_t sum = 0;
+    std::int64_t agg = identity_;
     for (std::uint32_t i = 0; i < capacity_; ++i) {
-        sum += PackedNode::value(mem.peek(vars_[num_internal_ + i]));
+        agg = combine(agg,
+                      PackedNode::value(mem.peek(vars_[num_internal_ + i])));
     }
-    return sum;
+    return agg;
 }
 
 std::int64_t FArraySimCounter::peek_root(const Memory& mem) const {

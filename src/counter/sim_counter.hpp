@@ -18,6 +18,13 @@
 //
 // read() returns the root's value: a single shared step.
 //
+// The same tree computes any associative aggregate of the K single-writer
+// registers (Jayanti, PODC 2002): sum (the counter, the default), max or
+// min, given the aggregate's identity. update(slot, value) overwrites a
+// register and propagates; add(delta) is one leaf read followed by
+// update(slot, leaf + delta). Max and min have no inverse, so a lost
+// refresh shows differently there than for sums.
+//
 // NaiveSimCounter is the baseline: one word, CAS-retry add. O(1) steps per
 // attempt, but unboundedly many attempts under adversarial scheduling --
 // exactly the behaviour the E5 bench contrasts against the f-array.
@@ -48,6 +55,8 @@ struct PackedNode {
     }
 };
 
+enum class AggKind : std::uint8_t { Sum, Max, Min };
+
 class FArraySimCounter {
    public:
     /// Allocates the tree from `mem`. `capacity` = K, the number of
@@ -55,19 +64,26 @@ class FArraySimCounter {
     /// is set, leaf `s` is homed (for the DSM model) at process
     /// `*owner_base + s` -- slot owners access their own leaf locally.
     /// Internal nodes are contended by the whole group and stay unowned.
+    /// Every register starts at `identity`, the neutral value of `kind`.
     FArraySimCounter(Memory& mem, const std::string& name,
                      std::uint32_t capacity,
-                     std::optional<ProcId> owner_base = std::nullopt);
+                     std::optional<ProcId> owner_base = std::nullopt,
+                     AggKind kind = AggKind::Sum, std::int32_t identity = 0);
 
     /// Adds `delta` on behalf of `slot` (must be < capacity; each concurrent
     /// caller must use a distinct slot). Θ(log K) shared steps.
     sim::SimTask<void> add(sim::Process& p, std::uint32_t slot,
                            std::int64_t delta);
 
-    /// Returns the current count. One shared step.
+    /// Overwrites `slot`'s register with `value` and propagates: Θ(log K)
+    /// shared steps, wait-free.
+    sim::SimTask<void> update(sim::Process& p, std::uint32_t slot,
+                              std::int32_t value);
+
+    /// Returns the aggregate (the count, for Sum). One shared step.
     sim::SimTask<std::int64_t> read(sim::Process& p);
 
-    /// Test-only: non-simulated exact sum of all leaves.
+    /// Test-only: non-simulated exact aggregate of all leaves.
     [[nodiscard]] std::int64_t peek_exact(const Memory& mem) const;
     /// Test-only: root value as read() would return it.
     [[nodiscard]] std::int64_t peek_root(const Memory& mem) const;
@@ -75,6 +91,9 @@ class FArraySimCounter {
     [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
 
    private:
+    [[nodiscard]] std::int64_t combine(std::int64_t a, std::int64_t b) const;
+    /// Tree index of `slot`'s leaf; throws on a slot >= capacity.
+    [[nodiscard]] std::uint32_t leaf_of(std::uint32_t slot) const;
     /// Refresh internal node `u`: returns true if the CAS succeeded.
     sim::SimTask<bool> refresh(sim::Process& p, std::uint32_t u);
     /// Reads the value contribution of tree slot `u` (internal or leaf).
@@ -87,6 +106,8 @@ class FArraySimCounter {
     std::uint32_t capacity_;      ///< K.
     std::uint32_t num_leaves_;    ///< K rounded up to a power of two.
     std::uint32_t num_internal_;  ///< num_leaves_ - 1.
+    AggKind kind_;
+    std::int32_t identity_;
     /// Heap-ordered tree: vars_[0..num_internal_) internal (packed
     /// <version,value>), vars_[num_internal_..) leaves (raw int32 payload,
     /// version always 0).

@@ -1,17 +1,8 @@
 // m-process mutual exclusion locks for the simulator.
 //
-// TournamentSimMutex is the writers' lock WL of Algorithm 1 (paper line 2):
-// "an m-process starvation-free read/write mutual exclusion lock algorithm
-// satisfying Bounded Exit. There are such algorithms with logarithmic
-// per-passage RMR complexity (e.g. [21])."
-//
-// We implement the classic arbitration-tree construction: a perfect binary
-// tree with one two-process Peterson lock per internal node; process p
-// ascends from its leaf to the root, competing at each node as the
-// left/right child, and releases top-down on exit. Uses reads and writes
-// only. Per-passage RMR complexity in the CC model is O(log m): at each
-// node a process spins on two variables that its single rival writes O(1)
-// times per passage (bounded bypass 1 makes the spin RMR-bounded).
+// The Peterson arbitration tree TournamentSimMutex, Algorithm 1's WL, lives
+// in mutex/tournament.hpp: it is abortable, and the abortable interface
+// (mutex/abortable.hpp) builds on SimMutex below.
 //
 // TasSimMutex is the contrast baseline: one test-and-set word; correct and
 // deadlock-free but with unbounded RMR complexity under contention (every
@@ -37,32 +28,6 @@ class SimMutex {
     virtual sim::SimTask<void> enter(sim::Process& p, std::uint32_t slot) = 0;
     virtual sim::SimTask<void> exit(sim::Process& p, std::uint32_t slot) = 0;
     [[nodiscard]] virtual std::string name() const = 0;
-};
-
-class TournamentSimMutex final : public SimMutex {
-   public:
-    TournamentSimMutex(Memory& mem, const std::string& name, std::uint32_t m);
-
-    sim::SimTask<void> enter(sim::Process& p, std::uint32_t slot) override;
-    sim::SimTask<void> exit(sim::Process& p, std::uint32_t slot) override;
-    [[nodiscard]] std::string name() const override { return "tournament"; }
-
-    [[nodiscard]] std::uint32_t levels() const { return levels_; }
-
-   private:
-    struct Node {
-        VarId flag[2];  ///< "I am competing" per side.
-        VarId victim;   ///< Which side yields.
-    };
-
-    /// Peterson two-process entry/exit at node `n`, competing as `side`.
-    sim::SimTask<void> node_enter(sim::Process& p, std::uint32_t n, Word side);
-    sim::SimTask<void> node_exit(sim::Process& p, std::uint32_t n, Word side);
-
-    std::uint32_t m_;
-    std::uint32_t num_leaves_;  ///< m rounded up to a power of two.
-    std::uint32_t levels_;      ///< log2(num_leaves_).
-    std::vector<Node> nodes_;   ///< Heap-ordered; nodes_[0] is the root.
 };
 
 /// Arbitration tree over the Yang-Anderson two-process local-spin lock

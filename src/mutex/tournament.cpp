@@ -1,18 +1,17 @@
-#include "mutex/abortable_tournament.hpp"
+#include "mutex/tournament.hpp"
 
 #include <bit>
 #include <stdexcept>
 
 namespace rwr::mutex {
 
-AbortableTournamentMutex::AbortableTournamentMutex(Memory& mem,
-                                                   const std::string& name,
-                                                   std::uint32_t m)
+TournamentSimMutex::TournamentSimMutex(Memory& mem, const std::string& name,
+                                       std::uint32_t m)
     : m_(m),
       num_leaves_(m <= 1 ? 1 : std::bit_ceil(m)),
       levels_(static_cast<std::uint32_t>(std::bit_width(num_leaves_) - 1)) {
     if (m == 0) {
-        throw std::invalid_argument("AbortableTournamentMutex: m must be >= 1");
+        throw std::invalid_argument("TournamentSimMutex: m must be >= 1");
     }
     const std::uint32_t num_nodes = num_leaves_ - 1;  // 0 when m == 1.
     nodes_.reserve(num_nodes);
@@ -25,7 +24,7 @@ AbortableTournamentMutex::AbortableTournamentMutex(Memory& mem,
     }
 }
 
-sim::SimTask<EnterResult> AbortableTournamentMutex::node_enter(
+sim::SimTask<EnterResult> TournamentSimMutex::node_enter(
     sim::Process& p, std::uint32_t n, Word side, AbortControl ctl,
     std::uint64_t& steps) {
     const Node& node = nodes_[n];
@@ -33,6 +32,7 @@ sim::SimTask<EnterResult> AbortableTournamentMutex::node_enter(
     ++steps;
     co_await p.write(node.victim, side);
     ++steps;
+    // Peterson spin: wait while the rival competes and we are the victim.
     for (;;) {
         if (steps >= ctl.patience) {
             // The abort move: retract the competing flag. The rival's spin
@@ -55,17 +55,16 @@ sim::SimTask<EnterResult> AbortableTournamentMutex::node_enter(
     }
 }
 
-sim::SimTask<void> AbortableTournamentMutex::node_exit(sim::Process& p,
-                                                       std::uint32_t n,
-                                                       Word side) {
+sim::SimTask<void> TournamentSimMutex::node_exit(sim::Process& p,
+                                                 std::uint32_t n, Word side) {
     co_await p.write(nodes_[n].flag[side], 0);
 }
 
-sim::SimTask<void> AbortableTournamentMutex::release_below(sim::Process& p,
-                                                           std::uint32_t slot,
-                                                           std::uint32_t pos) {
+sim::SimTask<void> TournamentSimMutex::release_below(sim::Process& p,
+                                                     std::uint32_t slot,
+                                                     std::uint32_t pos) {
     // Children on slot's leaf-to-root path strictly below `pos`: the nodes
-    // we hold. Released top-down, mirroring TournamentSimMutex::exit.
+    // we hold. Released top-down (reverse of acquisition order).
     std::uint32_t path[32];
     std::uint32_t depth = 0;
     std::uint32_t child = (num_leaves_ - 1) + slot;
@@ -81,12 +80,14 @@ sim::SimTask<void> AbortableTournamentMutex::release_below(sim::Process& p,
     }
 }
 
-sim::SimTask<EnterResult> AbortableTournamentMutex::enter_abortable(
+sim::SimTask<EnterResult> TournamentSimMutex::enter_abortable(
     sim::Process& p, std::uint32_t slot, AbortControl ctl) {
     if (slot >= m_) {
-        throw std::invalid_argument(
-            "AbortableTournamentMutex::enter_abortable: bad slot");
+        throw std::invalid_argument("TournamentSimMutex::enter: bad slot");
     }
+    // Ascend leaf -> root. Leaf index in the conceptual full tree is
+    // (num_leaves_ - 1) + slot; at each step the node's side is the low bit
+    // of the child position.
     std::uint64_t steps = 0;
     std::uint32_t pos = (num_leaves_ - 1) + slot;
     while (pos != 0) {
@@ -102,10 +103,10 @@ sim::SimTask<EnterResult> AbortableTournamentMutex::enter_abortable(
     co_return EnterResult::Acquired;
 }
 
-sim::SimTask<void> AbortableTournamentMutex::exit(sim::Process& p,
-                                                  std::uint32_t slot) {
+sim::SimTask<void> TournamentSimMutex::exit(sim::Process& p,
+                                            std::uint32_t slot) {
     if (slot >= m_) {
-        throw std::invalid_argument("AbortableTournamentMutex::exit: bad slot");
+        throw std::invalid_argument("TournamentSimMutex::exit: bad slot");
     }
     co_await release_below(p, slot, 0);
 }

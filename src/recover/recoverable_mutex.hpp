@@ -1,5 +1,5 @@
 // Recoverable m-process mutual exclusion: a Golab-Ramaraju-style
-// transformation of the Peterson arbitration tree (mutex/sim_mutex.hpp,
+// transformation of the Peterson arbitration tree (mutex/tournament.hpp,
 // TournamentSimMutex) into a lock whose passages survive crash-restarts.
 //
 // Two changes make the tree recoverable:

@@ -1,5 +1,5 @@
 // The abortable writer-mutex tier (E18 foundations): JJAmortizedMutex,
-// PwRandomizedMutex and AbortableTournamentMutex correctness under
+// PwRandomizedMutex and TournamentSimMutex correctness under
 // abort-heavy workloads in CC and DSM, the amortized-RMR ledger's
 // reconciliation invariant (sum of episode RMRs == Memory's per-history
 // total -- the proof every RMR is charged exactly once), exhaustive
@@ -15,7 +15,7 @@
 
 #include "harness/locks.hpp"
 #include "mutex/abortable.hpp"
-#include "mutex/abortable_tournament.hpp"
+#include "mutex/tournament.hpp"
 #include "mutex/episodes.hpp"
 #include "mutex/jj_amortized.hpp"
 #include "mutex/pw_randomized.hpp"
@@ -79,7 +79,7 @@ std::vector<LockCase> abortable_cases(std::uint32_t m) {
                      }});
     cases.push_back({"tournament/cc", Protocol::WriteBack, [](Memory& mem) {
                          return std::unique_ptr<SimMutex>(
-                             std::make_unique<AbortableTournamentMutex>(
+                             std::make_unique<TournamentSimMutex>(
                                  mem, "tournament", 4));
                      }});
     (void)m;
@@ -150,11 +150,12 @@ TEST(AbortExperiment, ZeroAbortRateNeverAborts) {
 TEST(AbortExperiment, NonAbortableBuildersRideTheGridBlocking) {
     // A plain SimMutex builder must work with abort_rate > 0: the rate is
     // ignored (blocking enter), which is how the growth baselines share
-    // the E18 grid.
+    // the E18 grid. (The Yang-Anderson tree is one such builder; the
+    // Peterson tree is abortable and would abort here.)
     const sim::DriverConfig cfg = abort_cfg(
         [](Memory& mem) {
             return std::unique_ptr<SimMutex>(
-                std::make_unique<TournamentSimMutex>(mem, "wl", 3));
+                std::make_unique<YaTournamentSimMutex>(mem, "wl", 3));
         },
         3, 8, 0.9);
     const sim::DriverResult res = sim::run_driver(cfg);
@@ -293,8 +294,7 @@ TEST(AbortPlacement, TournamentEveryPlacementKeepsMutualExclusion) {
     const SweepOutcome out = sweep_abort_placements(
         [](Memory& mem) {
             return std::unique_ptr<SimMutex>(
-                std::make_unique<AbortableTournamentMutex>(mem, "tournament",
-                                                           2));
+                std::make_unique<TournamentSimMutex>(mem, "tournament", 2));
         },
         2, /*passages=*/2, /*cs_steps=*/1, "tournament",
         /*expect_clean=*/true);

@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "core/af_ablations.hpp"
 #include "core/af_lock_sim.hpp"
 #include "sim/checker.hpp"
 #include "sim/driver.hpp"
@@ -19,14 +18,19 @@ namespace {
 using sim::Process;
 using sim::Role;
 
+/// `ablation` == None builds the full lock. `dsm` selects the DSM variant
+/// (AfParams::dsm_local_spin) and runs it under Protocol::Dsm.
 sim::ScenarioFactory ablated_factory(AfAblation ablation, std::uint32_t n,
                                      std::uint32_t m, std::uint32_t f,
-                                     std::uint64_t passages) {
+                                     std::uint64_t passages,
+                                     bool dsm = false) {
     sim::DriverConfig cfg;
+    cfg.protocol = dsm ? Protocol::Dsm : Protocol::WriteBack;
     cfg.episodes = sim::rw_episodes(
-        [=](Memory& mem) {
-            return std::make_unique<AblatedAfSimLock>(
-                mem, AfParams{.n = n, .m = m, .f = f}, ablation);
+        [=](Memory& mem) -> std::unique_ptr<sim::SimRWLock> {
+            return AfSimLock::ablated_for_test(
+                mem, AfParams{.n = n, .m = m, .f = f, .dsm_local_spin = dsm},
+                ablation);
         },
         n, m);
     cfg.passages = passages;
@@ -45,6 +49,31 @@ TEST(AfAblations, NoExitHelpDeadlocksTheWriter) {
         << "...but most runs must deadlock without exit helping";
 }
 
+TEST(AfAblations, NoExitHelpDeadlocksTheDsmWriterToo) {
+    // The DSM variant only moves the readers' line-36 spin onto per-reader
+    // gates; the writer still waits for the exit-section signal.
+    const auto res = sim::explore_random(
+        ablated_factory(AfAblation::NoExitHelp, 2, 1, 1, 1, /*dsm=*/true),
+        100, 3, 200'000);
+    EXPECT_EQ(res.violations, 0u);
+    EXPECT_GT(res.incomplete_runs, 20u);
+}
+
+TEST(AfAblations, NoPreentryViolationFoundByUnsteeredExploration) {
+    // DPOR finds the Lemma 11 violation on its own, without the directed
+    // schedule below; the full lock is clean at the same depth.
+    sim::ExploreOptions opts;
+    opts.branch_depth = 8;
+    const auto res = sim::explore(
+        ablated_factory(AfAblation::NoPreentry, 2, 1, 1, 2), opts);
+    EXPECT_EQ(res.schedules_explored, 30u);
+    EXPECT_EQ(res.violations, 3u);
+    const auto full =
+        sim::explore(ablated_factory(AfAblation::None, 2, 1, 1, 2), opts);
+    EXPECT_EQ(full.violations, 0u);
+    EXPECT_EQ(full.truncated_runs, 0u);
+}
+
 TEST(AfAblations, NoPreentryBreaksMutualExclusion_Directed) {
     // The exact interleaving Lemma 11 rules out for the full algorithm,
     // constructed deterministically against the ablated one:
@@ -58,8 +87,8 @@ TEST(AfAblations, NoPreentryBreaksMutualExclusion_Directed) {
     //   5. The writer enters the CS; R then finishes entry and joins it.
     sim::System sys(Protocol::WriteBack);
     AfParams params{.n = 2, .m = 1, .f = 1};
-    auto lock = std::make_unique<AblatedAfSimLock>(sys.memory(), params,
-                                                   AfAblation::NoPreentry);
+    auto lock = AfSimLock::ablated_for_test(sys.memory(), params,
+                                            AfAblation::NoPreentry);
     sim::MutualExclusionChecker checker(/*throw_on_violation=*/false);
     sys.add_observer(&checker);
 
@@ -131,13 +160,15 @@ TEST(AfAblations, NoPreentryBreaksMutualExclusion_Directed) {
            "this ever stops reproducing, the ablation (or checker) broke";
 }
 
-TEST(AfAblations, FullAlgorithmSurvivesTheSameHunt) {
-    // Control: the complete A_f passes the exact same schedule hunt that
-    // kills the ablations.
+/// The complete A_f (the DSM variant under Protocol::Dsm if `dsm`) through
+/// 100 seeded PCT-then-random schedules: every run must finish without an
+/// ME violation.
+void hunt_full_algorithm(bool dsm) {
     for (std::uint64_t seed = 0; seed < 100; ++seed) {
         sim::Scenario sc;
-        sc.sys = std::make_unique<sim::System>(Protocol::WriteBack);
-        AfParams params{.n = 3, .m = 1, .f = 1};
+        sc.sys = std::make_unique<sim::System>(dsm ? Protocol::Dsm
+                                                   : Protocol::WriteBack);
+        AfParams params{.n = 3, .m = 1, .f = 1, .dsm_local_spin = dsm};
         auto lock = std::make_unique<AfSimLock>(sc.sys->memory(), params);
         for (std::uint32_t r = 0; r < 3; ++r) {
             Process& p = sc.sys->add_process(Role::Reader);
@@ -162,6 +193,16 @@ TEST(AfAblations, FullAlgorithmSurvivesTheSameHunt) {
         ASSERT_TRUE(r.all_finished) << "seed " << seed;
         ASSERT_EQ(checker.violations(), 0u);
     }
+}
+
+TEST(AfAblations, FullAlgorithmSurvivesTheSameHunt) {
+    // Control: the complete A_f passes the exact same schedule hunt that
+    // kills the ablations.
+    hunt_full_algorithm(/*dsm=*/false);
+}
+
+TEST(AfAblations, FullDsmAlgorithmSurvivesTheSameHunt) {
+    hunt_full_algorithm(/*dsm=*/true);
 }
 
 }  // namespace

@@ -29,6 +29,11 @@ TEST(AfLock, ParamsValidation) {
     bad.m = 1;
     bad.f = 5;  // f > n.
     EXPECT_THROW(AfSimLock(sys.memory(), bad), std::invalid_argument);
+    // Rejected before the group arithmetic divides by f or by K.
+    EXPECT_THROW(AfSimLock(sys.memory(), AfParams{.n = 4, .m = 1, .f = 0}),
+                 std::invalid_argument);
+    EXPECT_THROW(AfSimLock(sys.memory(), AfParams{.n = 0, .m = 1, .f = 1}),
+                 std::invalid_argument);
 }
 
 TEST(AfLock, GroupAssignment) {

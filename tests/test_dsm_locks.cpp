@@ -14,6 +14,7 @@
 
 #include "harness/locks.hpp"
 #include "mutex/sim_mutex.hpp"
+#include "mutex/tournament.hpp"
 #include "recover/episodes.hpp"
 #include "recover/recoverable_jjj_mutex.hpp"
 #include "sim/driver.hpp"

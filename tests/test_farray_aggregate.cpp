@@ -1,12 +1,12 @@
-// Tests for the general f-array aggregate (sum / max / min over K
-// single-writer registers): sequential semantics, concurrent propagation
-// (the double-refresh argument over non-invertible aggregates), step
-// complexity, and quiescent exactness.
+// Tests for FArraySimCounter as the general f-array aggregate (sum / max /
+// min over K single-writer registers, written with update()): sequential
+// semantics, concurrent propagation (the double-refresh argument over
+// non-invertible aggregates), step complexity, and quiescent exactness.
 #include <gtest/gtest.h>
 
 #include <limits>
 
-#include "counter/sim_farray.hpp"
+#include "counter/sim_counter.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 
@@ -18,7 +18,7 @@ using sim::Role;
 using sim::SimTask;
 using sim::System;
 
-SimTask<void> do_updates(FArraySimAggregate& a, Process& p,
+SimTask<void> do_updates(FArraySimCounter& a, Process& p,
                          std::uint32_t slot,
                          std::vector<std::int32_t> values) {
     for (const auto v : values) {
@@ -28,11 +28,11 @@ SimTask<void> do_updates(FArraySimAggregate& a, Process& p,
 
 TEST(FArrayAggregate, SequentialMax) {
     System sys(Protocol::WriteBack);
-    FArraySimAggregate a(sys.memory(), "mx", 4, AggKind::Max,
-                         std::numeric_limits<std::int32_t>::min());
+    FArraySimCounter a(sys.memory(), "mx", 4, std::nullopt, AggKind::Max,
+                       std::numeric_limits<std::int32_t>::min());
     Process& p = sys.add_process(Role::Reader);
     std::vector<std::int64_t> reads;
-    auto body = [](FArraySimAggregate& agg, Process& proc,
+    auto body = [](FArraySimCounter& agg, Process& proc,
                    std::vector<std::int64_t>* out) -> SimTask<void> {
         co_await agg.update(proc, 0, 5);
         out->push_back(co_await agg.read(proc));
@@ -49,11 +49,11 @@ TEST(FArrayAggregate, SequentialMax) {
 
 TEST(FArrayAggregate, SequentialMin) {
     System sys(Protocol::WriteThrough);
-    FArraySimAggregate a(sys.memory(), "mn", 3, AggKind::Min,
-                         std::numeric_limits<std::int32_t>::max());
+    FArraySimCounter a(sys.memory(), "mn", 3, std::nullopt, AggKind::Min,
+                       std::numeric_limits<std::int32_t>::max());
     Process& p = sys.add_process(Role::Reader);
     std::vector<std::int64_t> reads;
-    auto body = [](FArraySimAggregate& agg, Process& proc,
+    auto body = [](FArraySimCounter& agg, Process& proc,
                    std::vector<std::int64_t>* out) -> SimTask<void> {
         co_await agg.update(proc, 0, 7);
         co_await agg.update(proc, 2, 3);
@@ -72,9 +72,9 @@ TEST(FArrayAggregate, SumMatchesCounterSemantics) {
     // With Sum, update() is overwrite (not add): aggregate = sum of last
     // values per slot.
     System sys(Protocol::WriteBack);
-    FArraySimAggregate a(sys.memory(), "s", 4, AggKind::Sum, 0);
+    FArraySimCounter a(sys.memory(), "s", 4, std::nullopt, AggKind::Sum, 0);
     Process& p = sys.add_process(Role::Reader);
-    auto body = [](FArraySimAggregate& agg, Process& proc) -> SimTask<void> {
+    auto body = [](FArraySimCounter& agg, Process& proc) -> SimTask<void> {
         co_await agg.update(proc, 0, 10);
         co_await agg.update(proc, 0, 4);  // Overwrites, not accumulates.
         co_await agg.update(proc, 3, 6);
@@ -98,7 +98,7 @@ TEST_P(AggregateConcurrency, QuiescentRootIsExact) {
                                : 0;
     System sys(proto);
     constexpr std::uint32_t K = 6;
-    FArraySimAggregate a(sys.memory(), "agg", K, kind, identity);
+    FArraySimCounter a(sys.memory(), "agg", K, std::nullopt, kind, identity);
     for (std::uint32_t s = 0; s < K; ++s) {
         Process& p = sys.add_process(Role::Reader);
         std::vector<std::int32_t> vals;
@@ -128,14 +128,14 @@ TEST(FArrayAggregate, ReadsBoundedByExtremes) {
     // For Max with only-growing updates, concurrent reads lie between the
     // initial identity and the largest value ever written.
     System sys(Protocol::WriteBack);
-    FArraySimAggregate a(sys.memory(), "mx", 3, AggKind::Max, 0);
+    FArraySimCounter a(sys.memory(), "mx", 3, std::nullopt, AggKind::Max, 0);
     Process& u0 = sys.add_process(Role::Reader);
     Process& u1 = sys.add_process(Role::Reader);
     Process& rd = sys.add_process(Role::Reader);
     u0.set_task(do_updates(a, u0, 0, {1, 3, 5, 7}));
     u1.set_task(do_updates(a, u1, 1, {2, 4, 6, 8}));
     std::vector<std::int64_t> seen;
-    auto reader = [](FArraySimAggregate& agg, Process& p,
+    auto reader = [](FArraySimCounter& agg, Process& p,
                      std::vector<std::int64_t>* out) -> SimTask<void> {
         for (int i = 0; i < 10; ++i) {
             out->push_back(co_await agg.read(p));
@@ -156,7 +156,8 @@ TEST(FArrayAggregate, ReadsBoundedByExtremes) {
 TEST(FArrayAggregate, UpdateIsLogSteps) {
     for (const std::uint32_t K : {1u, 16u, 256u}) {
         System sys(Protocol::WriteBack);
-        FArraySimAggregate a(sys.memory(), "agg", K, AggKind::Max, 0);
+        FArraySimCounter a(sys.memory(), "agg", K, std::nullopt,
+                           AggKind::Max, 0);
         Process& p = sys.add_process(Role::Reader);
         p.set_task(do_updates(a, p, 0, {42}));
         sim::RoundRobinScheduler rr;
@@ -170,7 +171,8 @@ TEST(FArrayAggregate, UpdateIsLogSteps) {
 
 TEST(FArrayAggregate, RejectsBadArgs) {
     System sys(Protocol::WriteBack);
-    EXPECT_THROW(FArraySimAggregate(sys.memory(), "x", 0, AggKind::Sum, 0),
+    EXPECT_THROW(FArraySimCounter(sys.memory(), "x", 0, std::nullopt,
+                                  AggKind::Sum, 0),
                  std::invalid_argument);
 }
 

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "mutex/sim_mutex.hpp"
+#include "mutex/tournament.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 
